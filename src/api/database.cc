@@ -95,9 +95,8 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   // image must carry the digest of THIS document's columns. A stale
   // image (rebuilt document, image of a different document) is rejected
   // here with the failing column set named -- not lazily on the first
-  // paged query. The digests are computed exactly once per image set
-  // and travel to every session (EvalOptions::doc_digest), so neither
-  // session creation nor the first query repeats the pass.
+  // paged query. The digests are computed exactly once per image set,
+  // so neither session creation nor the first query repeats the pass.
   if (img->paged_doc != nullptr) {
     if (img->disk == nullptr) {
       return Status::InvalidArgument(
@@ -331,11 +330,11 @@ std::shared_ptr<const DatabaseSnapshot> Database::CurrentSnapshot() const {
   return snapshot_;
 }
 
-Result<xpath::EvalOptions> Database::MakeEvalOptions(
-    const std::shared_ptr<const DatabaseSnapshot>& snap,
-    const SessionOptions& options,
+Result<std::unique_ptr<xpath::Evaluator>> Database::BindEngine(
+    const DatabaseSnapshot& snap, const SessionOptions& options,
     std::unique_ptr<storage::BufferPool>* private_pool) const {
-  const DatabaseImages& img = snap->images();
+  const DatabaseImages& img = snap.images();
+  SJ_RETURN_NOT_OK(xpath::BackendDispatch::CheckOpened(options.backend, img));
   xpath::EvalOptions eval;
   eval.engine = options.hints.engine;
   eval.staircase = options.staircase;
@@ -345,50 +344,35 @@ Result<xpath::EvalOptions> Database::MakeEvalOptions(
   eval.cost_model = options.hints.cost_model;
   eval.num_threads = options.num_threads;
   eval.backend = options.backend;
-  eval.tag_index = img.tag_index.get();
-  eval.doc_digest = img.doc_digest;
-  // Planner statistics describe the BASE document; under an overlay the
-  // estimator layers merged per-tag counts on top (see MakeEstimator).
-  eval.doc_stats = img.doc_stats.get();
 
-  std::unique_ptr<storage::BufferPool> pool;
+  std::unique_ptr<storage::BufferPool> own_pool;
+  storage::BufferPool* pool = nullptr;
   if (xpath::BackendDispatch::UsesPool(options.backend)) {
-    SJ_RETURN_NOT_OK(xpath::BackendDispatch::WireBackend(
-        &eval, img.paged_doc.get(), img.paged_tags.get(),
-        img.compressed_doc.get(), img.compressed_tags.get()));
-    eval.frag_digest = img.frag_digest;
     if (options.private_pool_pages > 0) {
-      pool = std::make_unique<storage::BufferPool>(
+      own_pool = std::make_unique<storage::BufferPool>(
           img.disk.get(), options.private_pool_pages);
-      pool->set_prefetch_enabled(prefetch_);
-      eval.pool = pool.get();
+      own_pool->set_prefetch_enabled(prefetch_);
+      pool = own_pool.get();
     } else {
-      eval.pool = img.pool.get();
+      pool = img.pool.get();
     }
   }
-  eval.snapshot_epoch = snap->epoch();
-  if (snap->edited()) {
-    eval.overlay = snap->overlay();
-    // The lambda pins the snapshot: the materialized merged table stays
-    // valid for as long as any evaluator still holds these options.
-    eval.overlay_doc = [snap]() { return snap->MergedDoc(); };
-  }
-  *private_pool = std::move(pool);
-  return eval;
+  *private_pool = std::move(own_pool);
+  return std::make_unique<xpath::Evaluator>(snap, eval, pool);
 }
 
 Result<Session> Database::CreateSession(SessionOptions options) const {
   std::shared_ptr<const DatabaseSnapshot> snap = CurrentSnapshot();
   std::unique_ptr<storage::BufferPool> private_pool;
-  SJ_ASSIGN_OR_RETURN(xpath::EvalOptions eval,
-                      MakeEvalOptions(snap, options, &private_pool));
+  SJ_ASSIGN_OR_RETURN(std::unique_ptr<xpath::Evaluator> engine,
+                      BindEngine(*snap, options, &private_pool));
   {
     MutexLock lock(stats_mu_);
     ++stats_.sessions_created;
     ++stats_.snapshots_pinned;
   }
   return Session(this, std::move(options), std::move(snap),
-                 std::move(private_pool), eval);
+                 std::move(private_pool), std::move(engine));
 }
 
 EditTxn Database::BeginEdit() {

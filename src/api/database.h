@@ -325,12 +325,13 @@ class Database {
   /// Called per session snapshot bind/rebind.
   void RecordSnapshotPinned() const SJ_EXCLUDES(stats_mu_);
 
-  /// Session wiring against one pinned snapshot: evaluator options (and
-  /// the private pool, when requested) resolved from the snapshot's
-  /// images + overlay. Shared by CreateSession and Session's rebind.
-  Result<xpath::EvalOptions> MakeEvalOptions(
-      const std::shared_ptr<const DatabaseSnapshot>& snap,
-      const SessionOptions& options,
+  /// Session wiring against one pinned snapshot (borrowed; the session
+  /// keeps it alive): fails when the snapshot holds no image of the
+  /// requested backend, opens the private pool when requested, and
+  /// binds an evaluator to the snapshot and the session's pool. Shared
+  /// by CreateSession and Session's rebind.
+  Result<std::unique_ptr<xpath::Evaluator>> BindEngine(
+      const DatabaseSnapshot& snap, const SessionOptions& options,
       std::unique_ptr<storage::BufferPool>* private_pool) const;
 
   /// Builds the missing images per `options`, digest-validates whatever

@@ -78,23 +78,21 @@ std::vector<PlanStepSummary> QueryResult::PlanSummary() const {
 Session::Session(const Database* db, SessionOptions options,
                  std::shared_ptr<const DatabaseSnapshot> snap,
                  std::unique_ptr<storage::BufferPool> private_pool,
-                 const xpath::EvalOptions& eval_options)
+                 std::unique_ptr<xpath::Evaluator> engine)
     : db_(db),
       options_(std::move(options)),
       snap_(std::move(snap)),
       private_pool_(std::move(private_pool)),
-      eval_options_(eval_options),
-      engine_(std::make_unique<xpath::Evaluator>(*snap_->images().doc,
-                                                 eval_options)) {}
+      engine_(std::move(engine)) {}
 
 Status Session::EnsureCurrentSnapshot() {
   std::shared_ptr<const DatabaseSnapshot> current = db_->CurrentSnapshot();
   if (current.get() == snap_.get()) return Status::OK();
   std::unique_ptr<storage::BufferPool> private_pool;
-  SJ_ASSIGN_OR_RETURN(xpath::EvalOptions eval,
-                      db_->MakeEvalOptions(current, options_, &private_pool));
-  engine_ = std::make_unique<xpath::Evaluator>(*current->images().doc, eval);
-  eval_options_ = std::move(eval);
+  SJ_ASSIGN_OR_RETURN(std::unique_ptr<xpath::Evaluator> engine,
+                      db_->BindEngine(*current, options_, &private_pool));
+  // The old engine borrows the old pool and snapshot: release it first.
+  engine_ = std::move(engine);
   private_pool_ = std::move(private_pool);
   snap_ = std::move(current);
   // The memo's keys carry the superseded epoch; entries can never be

@@ -182,7 +182,7 @@ class Session {
   /// (SessionOptions::private_pool_pages), or nullptr on the memory
   /// backend. Exposed for experiment control (cold starts, fault
   /// accounting) -- queries never need it.
-  storage::BufferPool* pool() const { return eval_options_.pool; }
+  storage::BufferPool* pool() const { return engine_->pool(); }
 
  private:
   friend class Database;
@@ -190,14 +190,14 @@ class Session {
   Session(const Database* db, SessionOptions options,
           std::shared_ptr<const DatabaseSnapshot> snap,
           std::unique_ptr<storage::BufferPool> private_pool,
-          const xpath::EvalOptions& eval_options);
+          std::unique_ptr<xpath::Evaluator> engine);
 
   /// Pins the database's current snapshot: when the epoch moved since
-  /// the last Run (a commit or compaction published), the evaluator,
-  /// wiring and private pool are rebuilt against the new snapshot and
-  /// the session-local plan memo is dropped (its keys carry the old
-  /// epoch). Sessions thus follow the snapshot chain one Run at a time;
-  /// a Run in flight keeps its pinned snapshot to the end.
+  /// the last Run (a commit or compaction published), the evaluator and
+  /// private pool are rebuilt against the new snapshot and the
+  /// session-local plan memo is dropped (its keys carry the old epoch).
+  /// Sessions thus follow the snapshot chain one Run at a time; a Run in
+  /// flight keeps its pinned snapshot to the end.
   Status EnsureCurrentSnapshot();
 
   /// The plan-cache key of `xpath` under this session's PlanHints --
@@ -241,11 +241,11 @@ class Session {
   /// (cleared wholesale when full; refilling costs one shared lookup
   /// per key).
   std::unordered_map<std::string, PlanMemoEntry> plan_memo_;
-  /// Non-null iff private_pool_pages was set; eval_options_.pool then
+  /// Non-null iff private_pool_pages was set; the engine's pool then
   /// points here (heap-allocated, so moving the session keeps it valid).
   std::unique_ptr<storage::BufferPool> private_pool_;
-  xpath::EvalOptions eval_options_;
-  /// The internal engine; owns the per-session EXPLAIN state.
+  /// The internal engine, bound to *snap_; owns the per-session EXPLAIN
+  /// state. Declared after the pool and snapshot it borrows.
   std::unique_ptr<xpath::Evaluator> engine_;
 };
 

@@ -111,8 +111,9 @@ class DatabaseSnapshot {
   /// The merged document as a resident DocTable in logical pre ranks:
   /// the base table itself when the snapshot is unedited, otherwise a
   /// lazily materialized (once, thread-safe) fold of base + overlay.
-  /// Serves the evaluator's per-context paths (EvalOptions::overlay_doc);
-  /// borrowed, valid while the snapshot lives.
+  /// Serves the evaluator's per-context paths (naive engine, name
+  /// filtering on the naive path); borrowed, valid while the snapshot
+  /// lives.
   Result<const DocTable*> MergedDoc() const;
 
  private:

@@ -10,9 +10,8 @@
 // duplicate-free document-order output, subtree skipping, and the
 // step's node test folded into the scan so no per-node post-filter over
 // resident columns remains. The kernel bodies live in core/axis_impl.h
-// (internal, backend-generic); AxisCursorStep below instantiates them
-// with the in-memory backend, storage::PagedAxisCursorStep with the
-// buffer-pool backend.
+// (internal, backend-generic); this header holds the node test they
+// fold in.
 
 #ifndef STAIRJOIN_CORE_AXIS_STEP_H_
 #define STAIRJOIN_CORE_AXIS_STEP_H_
@@ -60,7 +59,7 @@ struct AxisNodeTest {
   }
 };
 
-/// True for the axes AxisCursorStep evaluates (the complement of
+/// True for the axes the axis cursor kernels evaluate (the complement of
 /// IsStaircaseAxis over the supported axis set).
 constexpr bool IsCursorAxis(Axis axis) {
   switch (axis) {
@@ -75,29 +74,6 @@ constexpr bool IsCursorAxis(Axis axis) {
       return false;
   }
 }
-
-/// \brief Evaluates one non-staircase axis step set-at-a-time over the
-/// in-memory DocTable columns.
-///
-/// `context` must be duplicate free and in document order; the result
-/// is too. `test` is folded into the scan (attribute filtering follows
-/// the XPath data model: attribute nodes are attribute-axis results
-/// only). `stats` uses the kernels.h semantics: nodes_scanned are
-/// candidate positions examined, nodes_skipped are positions jumped
-/// over (subtree skipping), pruned_context_size counts the context
-/// nodes that actually opened a scan after covered-context pruning.
-Result<NodeSequence> AxisCursorStep(const DocTable& doc,
-                                    const NodeSequence& context, Axis axis,
-                                    const AxisNodeTest& test = {},
-                                    JoinStats* stats = nullptr);
-
-/// \brief Keeps the nodes of a document-order sequence that satisfy
-/// `test`, reading kind/tag through the in-memory columns (the
-/// set-at-a-time replacement for per-node FilterByTest loops after a
-/// staircase-axis join).
-NodeSequence FilterByTestSequence(const DocTable& doc,
-                                  const NodeSequence& nodes,
-                                  const AxisNodeTest& test);
 
 }  // namespace sj
 

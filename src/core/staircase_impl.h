@@ -6,8 +6,8 @@
 // following/preceding region queries (Section 3.1). Everything is
 // parameterized over a DocAccessor (core/doc_accessor.h); the public
 // entry points instantiate it with the in-memory backend
-// (core/staircase_join.cc, core/parallel.cc) and with the paged backend
-// (storage/paged_doc.cc).
+// (core/staircase_join.cc, core/parallel.cc) and the evaluator with
+// every backend (xpath/backend_dispatch.h).
 
 #ifndef STAIRJOIN_CORE_STAIRCASE_IMPL_H_
 #define STAIRJOIN_CORE_STAIRCASE_IMPL_H_
@@ -256,8 +256,8 @@ void MergeLostAttributeSelves(A& acc, const NodeSequence& context,
 }
 
 /// The staircase join over any backend: validation, pruning, partition
-/// scans, -or-self repair, stats. The public StaircaseJoin and
-/// PagedStaircaseJoin are thin shims around this function.
+/// scans, -or-self repair, stats. The public StaircaseJoin is a thin
+/// shim around this function.
 template <DocAccessor A>
 Result<NodeSequence> StaircaseJoinOver(A& acc, const NodeSequence& context,
                                        Axis axis,
@@ -381,9 +381,9 @@ void ParallelWorkerAnc(A& acc, const NodeSequence& kept, size_t lo, size_t hi,
 /// per worker (for a paged backend each cursor holds its own pinned
 /// pages over a shared, thread-safe buffer pool).
 ///
-/// Only called for the descendant/ancestor (+ -or-self) axes with
-/// num_threads >= 2 and |context| >= 2; the public wrappers delegate the
-/// remaining cases to the serial join.
+/// Partitions only the descendant/ancestor (+ -or-self) axes with
+/// num_threads >= 2 and |context| >= 2; every other case runs the serial
+/// join over one accessor.
 template <typename Factory>
 Result<NodeSequence> ParallelStaircaseJoinOver(Factory&& make_accessor,
                                                const NodeSequence& context,
@@ -391,6 +391,13 @@ Result<NodeSequence> ParallelStaircaseJoinOver(Factory&& make_accessor,
                                                const StaircaseOptions& options,
                                                unsigned num_threads,
                                                JoinStats* stats) {
+  const bool partitionable =
+      axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf ||
+      axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
+  if (!partitionable || num_threads < 2 || context.size() < 2) {
+    auto acc = make_accessor();
+    return StaircaseJoinOver(acc, context, axis, options, stats);
+  }
   auto main_acc = make_accessor();
   SJ_RETURN_NOT_OK(ValidateContext(main_acc, context));
 

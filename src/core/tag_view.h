@@ -61,8 +61,7 @@ class TagIndex {
 /// one pass over the (usually tiny) projection instead of the document.
 ///
 /// A thin shim over the backend-generic fragment join
-/// (core/fragment_impl.h) instantiated with MemoryFragmentCursor; the
-/// paged twin is storage::PagedStaircaseJoinView.
+/// (core/fragment_impl.h) instantiated with MemoryFragmentCursor.
 ///
 /// Supports the staircase axes. Skipping uses binary search on the
 /// projection's pre column instead of pre-rank arithmetic. The context is

@@ -70,6 +70,13 @@ inline void TwigPopEnded(std::vector<TwigStackEntry>* stack, uint32_t post) {
 /// The holistic twig join over any backend pair (see file comment).
 /// `cursors[i]` is the fragment of `levels[i]`; both have size k >= 1.
 /// Cursors are borrowed and must start at slot 0 / a fresh state.
+/// Evaluates context/levels[0]/.../levels[k-1] in one merge; the result
+/// holds the final level's matches only, in document order, duplicate
+/// free. JoinStats keep the kernels.h semantics with "node" meaning
+/// "fragment slot" (summed over the k cursors; `pruned_context_size`
+/// equals `context_size` -- the ancestor stacks subsume pruning).
+/// `options.skip_mode == kNone` disables the seek cascade, any other
+/// mode enables it.
 template <FragmentCursor F, DocAccessor A>
 Result<NodeSequence> TwigJoinOver(const std::vector<F*>& cursors, A& acc,
                                   const NodeSequence& context,

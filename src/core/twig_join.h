@@ -13,9 +13,7 @@
 // intermediate node list is ever built; only the final level emits.
 //
 // One backend-generic implementation lives in core/twig_impl.h; this
-// header holds the shared plan/stats types and the in-memory shim. The
-// buffer-pool twins are storage::PagedTwigJoin (storage/paged_tags.h)
-// and storage::CompressedTwigJoin (storage/compressed_tags.h).
+// header holds the shared plan/stats types.
 
 #ifndef STAIRJOIN_CORE_TWIG_JOIN_H_
 #define STAIRJOIN_CORE_TWIG_JOIN_H_
@@ -60,26 +58,6 @@ struct TwigLevelStats {
   /// Slots the leapfrog seeks jumped over (never touched).
   uint64_t slots_skipped = 0;
 };
-
-/// \brief Holistic twig join over the in-memory tag fragments.
-///
-/// Evaluates context/levels[0]/levels[1]/.../levels[k-1] in one merge;
-/// the result contains the final level's matches only, in document
-/// order, duplicate free. Every level's axis must satisfy IsTwigAxis.
-/// JoinStats keep the kernels.h semantics with "node" meaning "fragment
-/// slot" (summed over the k cursors; `pruned_context_size` equals
-/// `context_size` -- the ancestor stacks subsume pruning). A thin shim
-/// over the backend-generic body (core/twig_impl.h) instantiated with
-/// MemoryFragmentCursor; `options.skip_mode == kNone` disables the seek
-/// cascade (every stream is scanned end to end), any other mode enables
-/// it.
-Result<NodeSequence> TwigJoin(const DocTable& doc, const TagIndex& tags,
-                              const NodeSequence& context,
-                              const std::vector<TwigLevel>& levels,
-                              const StaircaseOptions& options = {},
-                              JoinStats* stats = nullptr,
-                              std::vector<TwigLevelStats>* level_stats =
-                                  nullptr);
 
 }  // namespace sj
 

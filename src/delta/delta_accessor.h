@@ -9,8 +9,8 @@
 // keep charging the BufferPool on paged/compressed backends); reads that
 // resolve to inserted nodes are resident array lookups in the Overlay.
 //
-// The Base cursor is constructed IN PLACE from forwarded constructor
-// arguments: paged accessors own non-movable PageGuards, so the wrapper
+// The Base cursor is constructed IN PLACE from a factory's returned
+// prvalue: paged accessors own non-movable PageGuards, so the wrapper
 // can never require moving one.
 
 #ifndef STAIRJOIN_DELTA_DELTA_ACCESSOR_H_
@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "core/doc_accessor.h"
 #include "core/fragment_cursor.h"
@@ -34,9 +33,10 @@ namespace sj::delta {
 template <typename Base>
 class DeltaDocAccessor {
  public:
-  template <typename... Args>
-  explicit DeltaDocAccessor(const Overlay& overlay, Args&&... args)
-      : ov_(&overlay), base_(std::forward<Args>(args)...) {}
+  /// `make_base()` returns the wrapped backend accessor by value.
+  template <typename MakeBase>
+  DeltaDocAccessor(const Overlay& overlay, MakeBase make_base)
+      : ov_(&overlay), base_(make_base()) {}
 
   size_t size() const { return ov_->logical_size(); }
 
@@ -104,12 +104,11 @@ static_assert(DocAccessor<DeltaDocAccessor<MemoryDocAccessor>>);
 template <typename Base>
 class DeltaFragmentCursor {
  public:
-  template <typename... Args>
-  explicit DeltaFragmentCursor(const Overlay& overlay, TagId tag,
-                               Args&&... args)
-      : ov_(&overlay),
-        fo_(&overlay.fragment(tag)),
-        base_(std::forward<Args>(args)...) {}
+  /// `make_base()` returns the wrapped backend cursor over `tag`'s base
+  /// fragment by value.
+  template <typename MakeBase>
+  DeltaFragmentCursor(const Overlay& overlay, TagId tag, MakeBase make_base)
+      : ov_(&overlay), fo_(&overlay.fragment(tag)), base_(make_base()) {}
 
   size_t size() const { return fo_->merged_count; }
 

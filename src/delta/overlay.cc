@@ -280,9 +280,10 @@ Status OverlayBuilder::ApplyDelete(uint64_t v) {
 
   std::vector<Segment> removed_pre = RemoveRun(ov_.pre_segs_, v, T);
   std::vector<Segment> removed_post = RemoveRun(ov_.post_segs_, pmin, T);
-  assert(TotalCount(removed_pre) == T && TotalCount(removed_post) == T &&
-         "subtree delete must cover matching pre and post ranges");
-  (void)removed_post;
+  if (TotalCount(removed_pre) != T || TotalCount(removed_post) != T) {
+    return Status::Internal(
+        "subtree delete must cover matching pre and post ranges");
+  }
 
   std::vector<std::pair<uint64_t, uint64_t>> dropped;  // delta (src, count)
   for (const Segment& s : removed_pre) {

@@ -23,15 +23,20 @@ Predicate& Predicate::operator=(const Predicate& other) {
 }
 
 std::string ToString(const Predicate& pred) {
+  std::string out = "[";
   switch (pred.kind) {
     case Predicate::Kind::kExists:
-      return "[" + (pred.path ? ToString(*pred.path) : std::string()) + "]";
+      if (pred.path) out += ToString(*pred.path);
+      break;
     case Predicate::Kind::kPosition:
-      return "[" + std::to_string(pred.position) + "]";
+      out += std::to_string(pred.position);
+      break;
     case Predicate::Kind::kLast:
-      return "[last()]";
+      out += "last()";
+      break;
   }
-  return "[?]";
+  out += ']';
+  return out;
 }
 
 std::string ToString(const Step& step) {

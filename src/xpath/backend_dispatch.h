@@ -1,30 +1,25 @@
 // The ONE backend-selection point of the engine (internal header).
 //
-// Every per-backend shim family a step can run through -- staircase
-// join, name-test pushdown join, axis cursor, node-test filter, twig
-// join, fragment statistics, wiring validation -- dispatches here as an
+// Every join a step can run -- staircase join, name-test pushdown join,
+// axis cursor, positional rank join, node-test filter, twig join -- is
+// written once over the DocAccessor / FragmentCursor concepts
+// (core/*_impl.h). What differs per backend is only which accessor and
+// fragment cursor feed it, and Visit below is where that is decided: an
 // exhaustive switch over StorageBackend with no default case, so a new
-// backend (or a new operation) that misses a site is a -Wswitch warning
-// at compile time instead of a silent fall-through to the memory path.
+// backend that misses it is a -Wswitch warning at compile time instead
+// of a silent fall-through to the memory path. Adding a backend means
+// one accessor, one fragment cursor and one `case`.
 //
 // This file is the only place allowed to compare or switch on
 // StorageBackend: sj-lint (tools/lint/sj_lint.py, rule backend-dispatch)
-// fails on a comparison or switch anywhere else under src/, which is
-// what keeps the dispatch exhaustive-by-construction promise honest as
-// the ROADMAP's mmap and sharded-collection backends land.
+// fails on a comparison or switch anywhere else under src/.
 
 #ifndef STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 #define STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/axis_impl.h"
-#include "core/axis_step.h"
-#include "core/fragment_impl.h"
-#include "core/staircase_impl.h"
-#include "core/twig_impl.h"
 #include "delta/delta_accessor.h"
 #include "storage/compressed_accessor.h"
 #include "storage/paged_accessor.h"
@@ -35,11 +30,11 @@ namespace sj::xpath {
 
 class BackendDispatch {
  public:
-  /// `doc` and `opt` are borrowed; the EvalOptions wiring (which
-  /// tables/pools/fragment images serve a query) must have been
-  /// validated via ValidateWiring before the join methods run.
-  BackendDispatch(const DocTable& doc, const EvalOptions& opt)
-      : doc_(doc), opt_(opt) {}
+  /// All three are borrowed. `pool` is the pool the session's reads are
+  /// charged to; null exactly when the backend does not UsesPool.
+  BackendDispatch(const DatabaseSnapshot& snap, const EvalOptions& opt,
+                  storage::BufferPool* pool)
+      : snap_(snap), opt_(opt), pool_(pool) {}
 
   /// True when sessions of backend `b` charge reads to a buffer pool.
   static bool UsesPool(StorageBackend b) {
@@ -53,47 +48,31 @@ class BackendDispatch {
     return false;
   }
 
-  /// Facade wiring (sj::Database::CreateSession): points `eval` at the
-  /// backend images its chosen backend reads, or fails when the database
-  /// holds no such image. The pool is wired by the caller (shared vs
-  /// session-private), guarded by UsesPool.
-  static Status WireBackend(EvalOptions* eval,
-                            const storage::PagedDocTable* paged_doc,
-                            const storage::PagedTagIndex* paged_tags,
-                            const storage::CompressedDocTable* compressed_doc,
-                            const storage::CompressedTagIndex* compressed_tags) {
-    switch (eval->backend) {
+  /// Fails when `img` holds no image backend `b` reads: the database was
+  /// opened without it (sj::Database::CreateSession's user-facing check).
+  static Status CheckOpened(StorageBackend b, const DatabaseImages& img) {
+    switch (b) {
       case StorageBackend::kMemory:
         return Status::OK();
       case StorageBackend::kPaged:
-        if (paged_doc == nullptr) {
-          return Status::InvalidArgument(
-              "session requests the paged backend but the database was "
-              "opened without a paged image (DatabaseOptions::build_paged)");
-        }
-        eval->paged_doc = paged_doc;
-        eval->paged_tags = paged_tags;
-        return Status::OK();
+        if (img.paged_doc != nullptr) return Status::OK();
+        return Status::InvalidArgument(
+            "session requests the paged backend but the database was "
+            "opened without a paged image (DatabaseOptions::build_paged)");
       case StorageBackend::kCompressed:
-        if (compressed_doc == nullptr) {
-          return Status::InvalidArgument(
-              "session requests the compressed backend but the database was "
-              "opened without a compressed image "
-              "(DatabaseOptions::build_compressed)");
-        }
-        eval->compressed_doc = compressed_doc;
-        eval->compressed_tags = compressed_tags;
-        return Status::OK();
+        if (img.compressed_doc != nullptr) return Status::OK();
+        return Status::InvalidArgument(
+            "session requests the compressed backend but the database was "
+            "opened without a compressed image "
+            "(DatabaseOptions::build_compressed)");
     }
     return Status::Internal("unreachable");
   }
 
-  /// True when the session's snapshot carries a non-empty delta overlay:
-  /// every join then runs over the merged document via the delta cursors
-  /// (base reads still charge the pool; delta reads are resident).
-  bool Overlaid() const {
-    return opt_.overlay != nullptr && !opt_.overlay->empty();
-  }
+  /// True when the snapshot carries a non-empty delta overlay: every join
+  /// then runs over the merged document via the delta cursors (base
+  /// reads still charge the pool; delta reads are resident).
+  bool Overlaid() const { return snap_.edited(); }
 
   /// EXPLAIN label prefix of the backend ("", "paged ", "compressed ";
   /// overlay variants when a delta overlay is active).
@@ -114,104 +93,22 @@ class BackendDispatch {
   /// Whether steps charge their reads to a buffer pool (EXPLAIN suffix).
   bool Pooled() const { return UsesPool(opt_.backend); }
 
-  /// The pool-backed backend's name for digest-mismatch Statuses.
-  const char* DigestName() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return "memory";
-      case StorageBackend::kPaged:
-        return "paged";
-      case StorageBackend::kCompressed:
-        return "compressed";
-    }
-    return "memory";
-  }
-
-  /// Fails when the options name a backend whose tables or pool are not
-  /// wired. The join methods below assume this passed.
-  Status ValidateWiring() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return Status::OK();
-      case StorageBackend::kPaged:
-        if (opt_.paged_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "paged backend requires EvalOptions::paged_doc and pool");
-        }
-        return Status::OK();
-      case StorageBackend::kCompressed:
-        if (opt_.compressed_doc == nullptr || opt_.pool == nullptr) {
-          return Status::InvalidArgument(
-              "compressed backend requires EvalOptions::compressed_doc and "
-              "pool");
-        }
-        return Status::OK();
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Node count of the pool-backed image (0 on the memory backend);
-  /// requires ValidateWiring().
-  size_t ImageSize() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return doc_.size();
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->size();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->size();
-    }
-    return 0;
-  }
-
-  /// DocColumnsDigest the pool-backed image was built from; requires
-  /// ValidateWiring() and Pooled().
-  uint64_t ImageDocDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return 0;
-      case StorageBackend::kPaged:
-        return opt_.paged_doc->source_digest();
-      case StorageBackend::kCompressed:
-        return opt_.compressed_doc->source_digest();
-    }
-    return 0;
-  }
-
-  /// FragmentColumnsDigest of the backend's fragment index; nullopt when
-  /// the backend has none wired.
-  std::optional<uint64_t> ImageFragDigest() const {
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return std::nullopt;
-      case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr
-                   ? std::optional<uint64_t>(opt_.paged_tags->source_digest())
-                   : std::nullopt;
-      case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr
-                   ? std::optional<uint64_t>(
-                         opt_.compressed_tags->source_digest())
-                   : std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  /// Whether the active backend has a fragment index wired. Pushdown and
-  /// twig both require it; each pool-backed backend only qualifies with
-  /// its own fragment image -- a memory-resident TagIndex would silently
+  /// Whether the active backend has a fragment index. Pushdown and twig
+  /// both require it; each pool-backed backend only qualifies with its
+  /// own fragment image -- a memory-resident TagIndex would silently
   /// bypass the buffer pool and charge no faults.
   bool HasFragments() const {
     // Under an overlay the merged per-tag fragments must exist too (they
     // are built from the resident TagIndex at commit time).
-    if (Overlaid() && !opt_.overlay->has_fragments()) return false;
+    if (Overlaid() && !snap_.overlay()->has_fragments()) return false;
+    const DatabaseImages& img = snap_.images();
     switch (opt_.backend) {
       case StorageBackend::kMemory:
-        return opt_.tag_index != nullptr;
+        return img.tag_index != nullptr;
       case StorageBackend::kPaged:
-        return opt_.paged_tags != nullptr;
+        return img.paged_tags != nullptr;
       case StorageBackend::kCompressed:
-        return opt_.compressed_tags != nullptr;
+        return img.compressed_tags != nullptr;
     }
     return false;
   }
@@ -220,205 +117,17 @@ class BackendDispatch {
   /// requires HasFragments().
   uint64_t TagCount(TagId tag) const {
     // Merged count: base survivors plus delta elements of the tag.
-    if (Overlaid()) return opt_.overlay->tag_count(tag);
+    if (Overlaid()) return snap_.overlay()->tag_count(tag);
+    const DatabaseImages& img = snap_.images();
     switch (opt_.backend) {
       case StorageBackend::kMemory:
-        return opt_.tag_index->tag_count(tag);
+        return img.tag_index->tag_count(tag);
       case StorageBackend::kPaged:
-        return opt_.paged_tags->tag_count(tag);
+        return img.paged_tags->tag_count(tag);
       case StorageBackend::kCompressed:
-        return opt_.compressed_tags->tag_count(tag);
+        return img.compressed_tags->tag_count(tag);
     }
     return 0;
-  }
-
-  /// Staircase join over the whole document (parallel when configured).
-  /// Overlaid snapshots run the same generic kernels over the merging
-  /// accessors -- serially: the partitioned parallel driver's chunk math
-  /// is pristine-image-specific, and the delta is expected to be small
-  /// until compaction folds it (EXPLAIN drops the parallel prefix).
-  Result<NodeSequence> Staircase(const NodeSequence& context, Axis axis,
-                                 JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::StaircaseJoinOver(acc, context, axis,
-                                             opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    const bool parallel = opt_.num_threads > 1;
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return parallel ? ParallelStaircaseJoin(doc_, context, axis,
-                                                opt_.staircase,
-                                                opt_.num_threads, stats)
-                        : StaircaseJoin(doc_, context, axis, opt_.staircase,
-                                        stats);
-      case StorageBackend::kPaged:
-        return parallel ? storage::ParallelPagedStaircaseJoin(
-                              *opt_.paged_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::PagedStaircaseJoin(*opt_.paged_doc,
-                                                      opt_.pool, context, axis,
-                                                      opt_.staircase, stats);
-      case StorageBackend::kCompressed:
-        return parallel ? storage::ParallelCompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, opt_.num_threads, stats)
-                        : storage::CompressedStaircaseJoin(
-                              *opt_.compressed_doc, opt_.pool, context, axis,
-                              opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Name-test pushdown: staircase join over one tag fragment.
-  Result<NodeSequence> PushdownView(TagId tag, const NodeSequence& context,
-                                    Axis axis, JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaFragmentCursor<MemoryFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.tag_index->view(tag));
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaFragmentCursor<storage::PagedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.paged_tags->fragment(tag), opt_.pool);
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaFragmentCursor<storage::CompressedFragmentCursor> frag(
-              *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-              opt_.pool);
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::FragmentStaircaseJoinOver(frag, acc, context, axis,
-                                                     opt_.staircase, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return StaircaseJoinView(doc_, opt_.tag_index->view(tag), context,
-                                 axis, opt_.staircase, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedStaircaseJoinView(*opt_.paged_tags, tag,
-                                               *opt_.paged_doc, opt_.pool,
-                                               context, axis, opt_.staircase,
-                                               stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedStaircaseJoinView(
-            *opt_.compressed_tags, tag, *opt_.compressed_doc, opt_.pool,
-            context, axis, opt_.staircase, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Non-staircase axis step with the node test folded into the scan.
-  Result<NodeSequence> AxisCursor(const NodeSequence& context, Axis axis,
-                                  const AxisNodeTest& test,
-                                  JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::AxisStepOver(acc, context, axis, test, stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return AxisCursorStep(doc_, context, axis, test, stats);
-      case StorageBackend::kPaged:
-        return storage::PagedAxisCursorStep(*opt_.paged_doc, opt_.pool,
-                                            context, axis, test, stats);
-      case StorageBackend::kCompressed:
-        return storage::CompressedAxisCursorStep(*opt_.compressed_doc,
-                                                 opt_.pool, context, axis,
-                                                 test, stats);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  /// Set-at-a-time positional axis step: per-context groups for rank
-  /// predicates, every read charged to the backend (the replacement for
-  /// the per-context fallback that bypassed the pool).
-  Result<internal::PositionalGroups> PositionalAxis(
-      const NodeSequence& context, Axis axis, const AxisNodeTest& test,
-      JoinStats* stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                  stats);
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory: {
-        MemoryDocAccessor acc(doc_);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kPaged: {
-        storage::PagedDocAccessor acc(*opt_.paged_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-      case StorageBackend::kCompressed: {
-        storage::CompressedDocAccessor acc(*opt_.compressed_doc, opt_.pool);
-        return internal::PositionalAxisStepOver(acc, context, axis, test,
-                                                stats);
-      }
-    }
-    return Status::Internal("unreachable");
   }
 
   /// The cost model's per-page unit of the active backend (cost_model.h
@@ -435,131 +144,101 @@ class BackendDispatch {
     return kPagedPageCost;
   }
 
+  /// Staircase join over the whole document, partitioned over
+  /// EvalOptions::num_threads workers where the shared driver allows it.
+  /// Overlaid snapshots run serially: the delta is expected to be small
+  /// until compaction folds it, and EXPLAIN then never names a parallel
+  /// join over a merged document.
+  Result<NodeSequence> Staircase(const NodeSequence& context, Axis axis,
+                                 JoinStats* stats) const;
+
+  /// Name-test pushdown: staircase join over one tag fragment.
+  Result<NodeSequence> PushdownView(TagId tag, const NodeSequence& context,
+                                    Axis axis, JoinStats* stats) const;
+
+  /// Non-staircase axis step with the node test folded into the scan.
+  Result<NodeSequence> AxisCursor(const NodeSequence& context, Axis axis,
+                                  const AxisNodeTest& test,
+                                  JoinStats* stats) const;
+
+  /// Set-at-a-time positional axis step: per-context groups for rank
+  /// predicates, every read charged to the backend.
+  Result<internal::PositionalGroups> PositionalAxis(
+      const NodeSequence& context, Axis axis, const AxisNodeTest& test,
+      JoinStats* stats) const;
+
   /// Node-test filter pass over a join result (kind/tag reads are
   /// charged to the step's backend, like every other read).
   Result<NodeSequence> Filter(const NodeSequence& nodes,
-                              const AxisNodeTest& test) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          NodeSequence out = internal::FilterSequenceOver(acc, nodes, test);
-          if (!acc.ok()) return acc.status();
-          return out;
-        }
-      }
-      return Status::Internal("unreachable");
-    }
-    switch (opt_.backend) {
-      case StorageBackend::kMemory:
-        return FilterByTestSequence(doc_, nodes, test);
-      case StorageBackend::kPaged:
-        return storage::PagedFilterByTest(*opt_.paged_doc, opt_.pool, nodes,
-                                          test);
-      case StorageBackend::kCompressed:
-        return storage::CompressedFilterByTest(*opt_.compressed_doc,
-                                               opt_.pool, nodes, test);
-    }
-    return Status::Internal("unreachable");
-  }
+                              const AxisNodeTest& test) const;
 
   /// Holistic twig join over the backend's fragment cursors; requires
   /// HasFragments().
   Result<NodeSequence> Twig(const NodeSequence& context,
                             const std::vector<TwigLevel>& levels,
                             JoinStats* stats,
-                            std::vector<TwigLevelStats>* level_stats) const {
-    if (Overlaid()) {
-      switch (opt_.backend) {
-        case StorageBackend::kMemory: {
-          delta::DeltaDocAccessor<MemoryDocAccessor> acc(*opt_.overlay, doc_);
-          return OverlayTwig<MemoryFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<MemoryFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.tag_index->view(tag));
-              });
-        }
-        case StorageBackend::kPaged: {
-          delta::DeltaDocAccessor<storage::PagedDocAccessor> acc(
-              *opt_.overlay, *opt_.paged_doc, opt_.pool);
-          return OverlayTwig<storage::PagedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<
-                    delta::DeltaFragmentCursor<storage::PagedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.paged_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-        case StorageBackend::kCompressed: {
-          delta::DeltaDocAccessor<storage::CompressedDocAccessor> acc(
-              *opt_.overlay, *opt_.compressed_doc, opt_.pool);
-          return OverlayTwig<storage::CompressedFragmentCursor>(
-              acc, context, levels, stats, level_stats, [this](TagId tag) {
-                return std::make_unique<delta::DeltaFragmentCursor<
-                    storage::CompressedFragmentCursor>>(
-                    *opt_.overlay, tag, opt_.compressed_tags->fragment(tag),
-                    opt_.pool);
-              });
-        }
-      }
-      return Status::Internal("unreachable");
-    }
+                            std::vector<TwigLevelStats>* level_stats) const;
+
+ private:
+  /// The backend switch: calls `fn(make_acc, make_frag)` with the active
+  /// backend's accessor factory (`make_acc()` returns a DocAccessor by
+  /// value, built in place -- accessors own non-movable PageGuards) and
+  /// fragment-cursor factory (`make_frag(tag)`), both wrapped in the
+  /// delta cursors when the snapshot is overlaid.
+  template <typename R, typename Fn>
+  Result<R> Visit(Fn&& fn) const {
+    const DatabaseImages& img = snap_.images();
+    storage::BufferPool* pool = pool_;
     switch (opt_.backend) {
       case StorageBackend::kMemory:
-        return TwigJoin(doc_, *opt_.tag_index, context, levels,
-                        opt_.staircase, stats, level_stats);
+        return Bind<R>(
+            fn, [&img] { return MemoryDocAccessor(*img.doc); },
+            [&img](TagId tag) {
+              return MemoryFragmentCursor(img.tag_index->view(tag));
+            });
       case StorageBackend::kPaged:
-        return storage::PagedTwigJoin(*opt_.paged_tags, *opt_.paged_doc,
-                                      opt_.pool, context, levels,
-                                      opt_.staircase, stats, level_stats);
+        return Bind<R>(
+            fn,
+            [&img, pool] {
+              return storage::PagedDocAccessor(*img.paged_doc, pool);
+            },
+            [&img, pool](TagId tag) {
+              return storage::PagedFragmentCursor(
+                  img.paged_tags->fragment(tag), pool);
+            });
       case StorageBackend::kCompressed:
-        return storage::CompressedTwigJoin(*opt_.compressed_tags,
-                                           *opt_.compressed_doc, opt_.pool,
-                                           context, levels, opt_.staircase,
-                                           stats, level_stats);
+        return Bind<R>(
+            fn,
+            [&img, pool] {
+              return storage::CompressedDocAccessor(*img.compressed_doc, pool);
+            },
+            [&img, pool](TagId tag) {
+              return storage::CompressedFragmentCursor(
+                  img.compressed_tags->fragment(tag), pool);
+            });
     }
     return Status::Internal("unreachable");
   }
 
- private:
-  /// Twig body shared by the three overlay branches: builds one delta
-  /// fragment cursor per level (heap-allocated -- paged cursors own
-  /// non-movable PageGuards) and runs the generic k-way join.
-  template <typename BaseCursor, typename Acc, typename MakeCursor>
-  Result<NodeSequence> OverlayTwig(
-      Acc& acc, const NodeSequence& context,
-      const std::vector<TwigLevel>& levels, JoinStats* stats,
-      std::vector<TwigLevelStats>* level_stats, MakeCursor make_cursor) const {
-    using Cursor = delta::DeltaFragmentCursor<BaseCursor>;
-    std::vector<std::unique_ptr<Cursor>> owned;
-    std::vector<Cursor*> cursors;
-    owned.reserve(levels.size());
-    cursors.reserve(levels.size());
-    for (const TwigLevel& level : levels) {
-      owned.push_back(make_cursor(level.tag));
-      cursors.push_back(owned.back().get());
-    }
-    return internal::TwigJoinOver(cursors, acc, context, levels,
-                                  opt_.staircase, stats, level_stats);
+  /// Hands `fn` the pristine factories, or their delta-merging wrappers
+  /// when the snapshot is overlaid.
+  template <typename R, typename Fn, typename MakeAcc, typename MakeFrag>
+  Result<R> Bind(Fn& fn, MakeAcc make_acc, MakeFrag make_frag) const {
+    if (!Overlaid()) return fn(make_acc, make_frag);
+    const delta::Overlay& ov = *snap_.overlay();
+    return fn(
+        [&ov, make_acc] {
+          return delta::DeltaDocAccessor<decltype(make_acc())>(ov, make_acc);
+        },
+        [&ov, make_frag](TagId tag) {
+          return delta::DeltaFragmentCursor<decltype(make_frag(tag))>(
+              ov, tag, [&] { return make_frag(tag); });
+        });
   }
 
-  const DocTable& doc_;
+  const DatabaseSnapshot& snap_;
   const EvalOptions& opt_;
+  storage::BufferPool* pool_;
 };
 
 }  // namespace sj::xpath

@@ -25,9 +25,9 @@
 // the build when a cost-constant definition appears in another
 // src/xpath/ file, so the planner's arithmetic cannot fork silently.
 //
-// All estimates are deterministic in (statistics, options): compiled
-// plans and the dynamic per-step path derive identical numbers, which is
-// what keeps cached and uncached EXPLAIN traces byte-identical.
+// All estimates are deterministic in (statistics, options): a plan
+// compiled by any session derives identical numbers, which is what keeps
+// cached and freshly compiled EXPLAIN traces byte-identical.
 
 #ifndef STAIRJOIN_XPATH_COST_MODEL_H_
 #define STAIRJOIN_XPATH_COST_MODEL_H_

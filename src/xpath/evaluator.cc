@@ -46,145 +46,40 @@ AxisNodeTest MakeAxisNodeTest(const Step& step,
 
 }  // namespace
 
-Evaluator::Evaluator(const DocTable& doc, EvalOptions options)
-    : doc_(doc),
+Evaluator::Evaluator(const DatabaseSnapshot& snap, EvalOptions options,
+                     storage::BufferPool* pool)
+    : snap_(snap),
+      doc_(*snap.images().doc),
       options_(options),
-      doc_digest_(options.doc_digest),
-      frag_digest_(options.frag_digest) {
-  // Paid up front so the O(doc) digest passes never land inside a timed
-  // query (Evaluate would otherwise compute them lazily). A facade that
-  // already validated the images at open time passes the digests in via
-  // EvalOptions and skips the passes entirely.
-  const BackendDispatch dispatch(doc_, options_);
-  if (dispatch.Pooled()) {
-    if (!doc_digest_.has_value()) {
-      doc_digest_ = storage::DocColumnsDigest(doc_);
-    }
-    if (dispatch.HasFragments() && !frag_digest_.has_value()) {
-      frag_digest_ = storage::FragmentColumnsDigest(doc_, *doc_digest_);
-    }
-  }
-}
-
-Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path,
-                                         const NodeSequence& context) {
-  trace_.clear();
-  return EvaluateKeepTrace(path, context);
-}
-
-bool Evaluator::Overlaid() const {
-  return options_.overlay != nullptr && !options_.overlay->empty();
-}
-
-size_t Evaluator::LogicalSize() const {
-  return Overlaid() ? options_.overlay->logical_size() : doc_.size();
-}
+      pool_(pool) {}
 
 std::optional<TagId> Evaluator::LookupTag(std::string_view name) const {
-  if (Overlaid()) return options_.overlay->LookupTag(doc_.tags(), name);
+  if (snap_.edited()) return snap_.overlay()->LookupTag(doc_.tags(), name);
   return doc_.tags().Lookup(name);
 }
 
-Result<const DocTable*> Evaluator::EffectiveDoc() {
-  if (!Overlaid()) return &doc_;
-  if (!options_.overlay_doc) {
-    return Status::InvalidArgument(
-        "overlay evaluation requires EvalOptions::overlay_doc");
-  }
-  return options_.overlay_doc();
+NodeSequence Evaluator::StartOf(bool absolute,
+                                const NodeSequence& context) const {
+  // The logical root is always 0 -- base nodes are never reordered and
+  // the root is undeletable -- so under an overlay it needs no mapping.
+  if (!absolute) return context;
+  return doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()};
 }
 
-Status Evaluator::CheckImageDigests(size_t image_size,
-                                    uint64_t image_doc_digest,
-                                    std::optional<uint64_t> image_frag_digest,
-                                    const char* backend_name) {
-  // Size alone cannot identify the document (two documents can share a
-  // node count); compare column digests, computed once per evaluator.
-  if (!doc_digest_.has_value()) {
-    doc_digest_ = storage::DocColumnsDigest(doc_);
-  }
-  if (image_size != doc_.size() || image_doc_digest != *doc_digest_) {
-    return Status::InvalidArgument(
-        std::string(backend_name) +
-        " table does not image the evaluator's document");
-  }
-  if (image_frag_digest.has_value()) {
-    if (!frag_digest_.has_value()) {
-      frag_digest_ = storage::FragmentColumnsDigest(doc_, *doc_digest_);
-    }
-    if (*image_frag_digest != *frag_digest_) {
-      return Status::InvalidArgument(
-          std::string(backend_name) +
-          " tag index does not image the evaluator's document");
-    }
-  }
-  return Status::OK();
-}
-
-Result<NodeSequence> Evaluator::EvaluateKeepTrace(const LocationPath& path,
-                                                  const NodeSequence& context,
-                                                  const PlannedPath* planned) {
-  const BackendDispatch dispatch(doc_, options_);
-  if (dispatch.Pooled()) {
-    SJ_RETURN_NOT_OK(dispatch.ValidateWiring());
-    SJ_RETURN_NOT_OK(CheckImageDigests(
-        dispatch.ImageSize(), dispatch.ImageDocDigest(),
-        dispatch.ImageFragDigest(), dispatch.DigestName()));
-  }
-  NodeSequence start = context;
-  if (path.absolute) {
-    start = doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()};
-  }
+Result<NodeSequence> Evaluator::EvaluateBranch(const LocationPath& path,
+                                               const PlannedPath& planned,
+                                               const NodeSequence& context) {
+  NodeSequence start = StartOf(path.absolute, context);
   if (!IsDocumentOrder(start)) {
     return Status::InvalidArgument(
         "context must be duplicate-free and in document order");
   }
   // Logical size: under a delta overlay the context addresses the merged
-  // document's dense logical pre ranks. (The logical root is always 0 --
-  // base nodes are never reordered and the root is undeletable -- so the
-  // absolute-path start above needs no mapping.)
-  if (!start.empty() && start.back() >= LogicalSize()) {
+  // document's dense logical pre ranks.
+  if (!start.empty() && start.back() >= snap_.logical_size()) {
     return Status::InvalidArgument("context node out of range");
   }
-  return EvalSteps(path.steps, 0, std::move(start), /*top_level=*/true,
-                   planned);
-}
-
-Result<NodeSequence> Evaluator::Evaluate(const LocationPath& path) {
-  return Evaluate(path, doc_.empty() ? NodeSequence{}
-                                     : NodeSequence{doc_.root()});
-}
-
-Result<NodeSequence> Evaluator::EvaluateString(std::string_view xpath) {
-  SJ_ASSIGN_OR_RETURN(LocationPath path, ParseXPath(xpath));
-  return Evaluate(path);
-}
-
-Result<NodeSequence> Evaluator::EvaluateUnion(
-    const UnionExpr& expr, const std::vector<PlannedPath>* planned,
-    const NodeSequence& context) {
-  // One trace for the whole union: clearing per branch would leave
-  // ExplainLastQuery reporting only the final branch's steps.
-  trace_.clear();
-  NodeSequence merged;
-  for (size_t b = 0; b < expr.branches.size(); ++b) {
-    SJ_ASSIGN_OR_RETURN(
-        NodeSequence r,
-        EvaluateKeepTrace(expr.branches[b], context,
-                          planned != nullptr ? &(*planned)[b] : nullptr));
-    NodeSequence next;
-    next.reserve(merged.size() + r.size());
-    std::merge(merged.begin(), merged.end(), r.begin(), r.end(),
-               std::back_inserter(next));
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    merged = std::move(next);
-  }
-  return merged;
-}
-
-Result<NodeSequence> Evaluator::Evaluate(const UnionExpr& expr,
-                                         const NodeSequence& context) {
-  return EvaluateUnion(expr, /*planned=*/nullptr, context);
+  return EvalSteps(path.steps, planned, std::move(start), /*top_level=*/true);
 }
 
 Result<NodeSequence> Evaluator::Evaluate(const CompiledPlan& plan,
@@ -193,7 +88,22 @@ Result<NodeSequence> Evaluator::Evaluate(const CompiledPlan& plan,
     return Status::InvalidArgument(
         "compiled plan does not match its expression");
   }
-  return EvaluateUnion(plan.expr, &plan.branches, context);
+  // One trace for the whole union: clearing per branch would leave
+  // EXPLAIN reporting only the final branch's steps.
+  trace_.clear();
+  NodeSequence merged;
+  for (size_t b = 0; b < plan.branches.size(); ++b) {
+    SJ_ASSIGN_OR_RETURN(
+        NodeSequence r,
+        EvaluateBranch(plan.expr.branches[b], plan.branches[b], context));
+    NodeSequence next;
+    next.reserve(merged.size() + r.size());
+    std::merge(merged.begin(), merged.end(), r.begin(), r.end(),
+               std::back_inserter(next));
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    merged = std::move(next);
+  }
+  return merged;
 }
 
 CompiledPlan Evaluator::Compile(UnionExpr expr) const {
@@ -207,19 +117,22 @@ CompiledPlan Evaluator::Compile(UnionExpr expr) const {
 }
 
 CardinalityEstimator Evaluator::MakeEstimator() const {
-  const BackendDispatch dispatch(doc_, options_);
+  const BackendDispatch dispatch(snap_, options_, pool_);
   const bool has_fragments = dispatch.HasFragments();
-  const DocStatistics* stats = options_.doc_stats;
-  const uint64_t logical = LogicalSize();
+  // Planner statistics describe the BASE document; under an overlay the
+  // merged per-tag counts below are layered on top.
+  const DocStatistics* stats = snap_.images().doc_stats.get();
+  const uint64_t logical = snap_.logical_size();
   auto tag_count = [this, has_fragments, stats, logical](TagId tag) {
     if (tag == kNoTag) return uint64_t{0};
     if (has_fragments) {
       // The active fragment index's count -- under an overlay this is
       // the MERGED count (base survivors + delta nodes), which is what
       // gives tags first introduced by an edit their real sizes.
-      return BackendDispatch(doc_, options_).TagCount(tag);
+      return BackendDispatch(snap_, options_, pool_).TagCount(tag);
     }
-    if (stats != nullptr && tag < stats->tag_counts.size() && !Overlaid()) {
+    if (stats != nullptr && tag < stats->tag_counts.size() &&
+        !snap_.edited()) {
       return stats->tag_counts[tag];
     }
     return logical;  // unknown selectivity: assume non-selective
@@ -231,9 +144,8 @@ CardinalityEstimator Evaluator::MakeEstimator() const {
 PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps) const {
   // The same walk EvalSteps performs at execution time: a twig match
   // consumes its whole run, every other step is planned individually.
-  // ContextEstimates chain from the root -- like Compile-time planning,
-  // per-run context sizes must not influence decisions, or cached and
-  // uncached plans (and their traces) would diverge.
+  // ContextEstimates chain from the root: per-run context sizes must not
+  // influence decisions, or one cached plan could not serve every run.
   PlannedPath planned;
   planned.steps.resize(steps.size());
   const CardinalityEstimator est = MakeEstimator();
@@ -260,27 +172,12 @@ PlannedPath Evaluator::PlanPath(const std::vector<Step>& steps) const {
   return planned;
 }
 
-Result<NodeSequence> Evaluator::EvaluateUnionString(std::string_view xpath) {
-  SJ_ASSIGN_OR_RETURN(UnionExpr expr, ParseXPathUnion(xpath));
-  return Evaluate(expr, doc_.empty() ? NodeSequence{}
-                                     : NodeSequence{doc_.root()});
-}
-
 Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
-                                          size_t first, NodeSequence context,
-                                          bool top_level,
-                                          const PlannedPath* planned) {
+                                          const PlannedPath& planned,
+                                          NodeSequence context,
+                                          bool top_level) {
   NodeSequence current = std::move(context);
-  // Planned and unplanned execution share every line below this one: a
-  // compiled plan supplies the PlannedPath; otherwise PlanPath derives
-  // it here, exactly as Compile would have -- same decisions, same
-  // estimates, same traces.
-  PlannedPath local;
-  if (planned == nullptr) {
-    local = PlanPath(steps);
-    planned = &local;
-  }
-  for (size_t i = first; i < steps.size();) {
+  for (size_t i = 0; i < steps.size();) {
     if (current.empty()) {
       // The remaining steps cannot produce anything, but EXPLAIN must
       // still list one entry per step of the query -- a trace shorter
@@ -290,21 +187,21 @@ Result<NodeSequence> Evaluator::EvalSteps(const std::vector<Step>& steps,
           StepTrace skipped;
           skipped.description =
               ToString(steps[k]) + explain::kEmptyShortCircuited;
-          skipped.op = planned->steps[k].op;
-          skipped.estimated_rows = planned->steps[k].estimated_rows;
+          skipped.op = planned.steps[k].op;
+          skipped.estimated_rows = planned.steps[k].estimated_rows;
           trace_.push_back(std::move(skipped));
         }
       }
       return NodeSequence{};
     }
-    const PlannedStep* plan = &planned->steps[i];
-    if (plan->twig_consumed > 0) {
+    const PlannedStep& plan = planned.steps[i];
+    if (plan.twig_consumed > 0) {
       SJ_ASSIGN_OR_RETURN(current,
-                          EvalTwigRun(steps, i, *plan, current, top_level));
-      i += plan->twig_consumed;
+                          EvalTwigRun(steps, i, plan, current, top_level));
+      i += plan.twig_consumed;
     } else {
       SJ_ASSIGN_OR_RETURN(current,
-                          EvalStep(steps[i], current, top_level, *plan));
+                          EvalStep(steps[i], current, top_level, plan));
       ++i;
     }
   }
@@ -332,7 +229,7 @@ PlannedStep Evaluator::MatchTwigRun(const std::vector<Step>& steps,
       options_.twig == TwigMode::kNever) {
     return plan;
   }
-  if (!BackendDispatch(doc_, options_).HasFragments()) return plan;
+  if (!BackendDispatch(snap_, options_, pool_).HasFragments()) return plan;
   size_t i = first;
   while (i < steps.size()) {
     TwigLevel level;
@@ -368,8 +265,11 @@ PlannedStep Evaluator::PlanStep(const Step& step,
                                 const CardinalityEstimator& est,
                                 ContextEstimate* ctx) const {
   PlannedStep plan;
+  plan.predicates.reserve(step.predicates.size());
   for (const Predicate& pred : step.predicates) {
     plan.positional = plan.positional || pred.kind != Predicate::Kind::kExists;
+    plan.predicates.push_back(pred.path != nullptr ? PlanPath(pred.path->steps)
+                                                   : PlannedPath{});
   }
   // std::nullopt tag: the step's name test (or PI target) references a
   // never-interned name and can only produce the empty sequence.
@@ -421,10 +321,8 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
   Timer timer;
   JoinStats stats;
   std::vector<TwigLevelStats> level_stats;
-  const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  const BackendDispatch dispatch(snap_, options_, pool_);
+  const uint64_t faults_before = pool_ != nullptr ? pool_->stats().faults : 0;
   SJ_ASSIGN_OR_RETURN(NodeSequence result,
                       dispatch.Twig(context, plan.twig_levels, &stats,
                                     &level_stats));
@@ -460,8 +358,8 @@ Result<NodeSequence> Evaluator::EvalTwigRun(const std::vector<Step>& steps,
     trace.millis = timer.ElapsedMillis();
     trace.op = StepOperator::kTwig;
     trace.estimated_rows = plan.estimated_rows;
-    if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+    if (pool_ != nullptr) {
+      trace.pool_faults = pool_->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
     for (size_t s = 1; s < plan.twig_consumed; ++s) {
@@ -481,7 +379,7 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
                                const CardinalityEstimator& est,
                                const ContextEstimate& in) const {
   if (options_.engine != EngineMode::kStaircase) return false;
-  const BackendDispatch dispatch(doc_, options_);
+  const BackendDispatch dispatch(snap_, options_, pool_);
   if (!dispatch.HasFragments()) return false;
   if (step.test.kind != NodeTestKind::kName) return false;
   if (!IsStaircaseAxis(step.axis)) return false;
@@ -497,7 +395,7 @@ bool Evaluator::ShouldPushdown(const Step& step, TagId tag,
         // the exact selectivity; every index keeps it resident.
         return static_cast<double>(dispatch.TagCount(tag)) <=
                options_.pushdown_selectivity *
-                   static_cast<double>(LogicalSize());
+                   static_cast<double>(snap_.logical_size());
       }
       // Estimate-driven: the fragment join reads far fewer pages but
       // pays a fence probe per context node; the doc-scan staircase
@@ -546,38 +444,38 @@ NodeSequence Evaluator::FilterByTest(const DocTable& doc, const Step& step,
   return out;
 }
 
-Result<bool> Evaluator::PredicateHolds(const Predicate& pred, NodeId node) {
+Result<bool> Evaluator::PredicateHolds(const Predicate& pred,
+                                       const PlannedPath& planned,
+                                       NodeId node) {
   if (pred.kind != Predicate::Kind::kExists || pred.path == nullptr) {
     return Status::Internal("positional predicate on the set-at-a-time path");
   }
-  if (pred.path->absolute) {
-    SJ_ASSIGN_OR_RETURN(
-        NodeSequence r,
-        EvalSteps(pred.path->steps, 0,
-                  doc_.empty() ? NodeSequence{} : NodeSequence{doc_.root()},
-                  /*top_level=*/false));
-    return !r.empty();
-  }
-  SJ_ASSIGN_OR_RETURN(NodeSequence r, EvalSteps(pred.path->steps, 0, {node},
-                                                /*top_level=*/false));
+  SJ_ASSIGN_OR_RETURN(
+      NodeSequence r,
+      EvalSteps(pred.path->steps, planned, StartOf(pred.path->absolute, {node}),
+                /*top_level=*/false));
   return !r.empty();
 }
 
 Result<NodeSequence> Evaluator::ApplyPredicates(const Step& step,
+                                                const PlannedStep& plan,
                                                 NodeSequence nodes) {
-  for (const Predicate& pred : step.predicates) {
+  for (size_t p = 0; p < step.predicates.size(); ++p) {
+    const Predicate& pred = step.predicates[p];
     if (nodes.empty()) break;
     if (pred.path != nullptr && pred.path->absolute) {
       // An absolute predicate path is context-invariant: one evaluation
       // settles the verdict for every node of the step.
-      SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, nodes.front()));
+      SJ_ASSIGN_OR_RETURN(
+          bool holds, PredicateHolds(pred, plan.predicates[p], nodes.front()));
       if (!holds) nodes.clear();
       continue;
     }
     NodeSequence kept;
     kept.reserve(nodes.size());
     for (NodeId v : nodes) {
-      SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, v));
+      SJ_ASSIGN_OR_RETURN(bool holds,
+                          PredicateHolds(pred, plan.predicates[p], v));
       if (holds) kept.push_back(v);
     }
     nodes = std::move(kept);
@@ -607,7 +505,7 @@ static bool IsReverseAxis(Axis axis) {
 /// predicates apply in order, each positional predicate indexing the
 /// list surviving the previous ones.
 Result<NodeSequence> Evaluator::RankWithinGroup(
-    const Step& step, NodeSequence axis_nodes,
+    const Step& step, const PlannedStep& plan, NodeSequence axis_nodes,
     std::vector<std::optional<bool>>* absolute_verdict) {
   for (size_t p = 0; p < step.predicates.size(); ++p) {
     const Predicate& pred = step.predicates[p];
@@ -626,15 +524,17 @@ Result<NodeSequence> Evaluator::RankWithinGroup(
         if (pred.path != nullptr && pred.path->absolute) {
           // Context-invariant: memoized once per step.
           if (!(*absolute_verdict)[p].has_value()) {
-            SJ_ASSIGN_OR_RETURN(bool holds,
-                                PredicateHolds(pred, axis_nodes.front()));
+            SJ_ASSIGN_OR_RETURN(
+                bool holds,
+                PredicateHolds(pred, plan.predicates[p], axis_nodes.front()));
             (*absolute_verdict)[p] = holds;
           }
           if (*(*absolute_verdict)[p]) kept = std::move(axis_nodes);
           break;
         }
         for (NodeId v : axis_nodes) {
-          SJ_ASSIGN_OR_RETURN(bool holds, PredicateHolds(pred, v));
+          SJ_ASSIGN_OR_RETURN(bool holds,
+                              PredicateHolds(pred, plan.predicates[p], v));
           if (holds) kept.push_back(v);
         }
         break;
@@ -648,12 +548,12 @@ Result<NodeSequence> Evaluator::RankWithinGroup(
 /// (merged) table. The staircase engine routes positional steps through
 /// the set-at-a-time rank join in EvalStep instead.
 Result<NodeSequence> Evaluator::EvalStepPositional(
-    const Step& step, const NodeSequence& context) {
+    const Step& step, const PlannedStep& plan, const NodeSequence& context) {
   NodeSequence collected;
   // Per-context evaluation reads whole nodes, not columns: under an
   // overlay it runs on the materialized merged table (resident, like the
   // pristine per-context path).
-  SJ_ASSIGN_OR_RETURN(const DocTable* edoc, EffectiveDoc());
+  SJ_ASSIGN_OR_RETURN(const DocTable* edoc, snap_.MergedDoc());
   std::vector<std::optional<bool>> absolute_verdict(step.predicates.size());
   for (NodeId c : context) {
     JoinStats ignored;
@@ -663,9 +563,9 @@ Result<NodeSequence> Evaluator::EvalStepPositional(
     if (IsReverseAxis(step.axis)) {
       std::reverse(axis_nodes.begin(), axis_nodes.end());
     }
-    SJ_ASSIGN_OR_RETURN(
-        axis_nodes,
-        RankWithinGroup(step, std::move(axis_nodes), &absolute_verdict));
+    SJ_ASSIGN_OR_RETURN(axis_nodes,
+                        RankWithinGroup(step, plan, std::move(axis_nodes),
+                                        &absolute_verdict));
     collected.insert(collected.end(), axis_nodes.begin(), axis_nodes.end());
   }
   std::sort(collected.begin(), collected.end());
@@ -683,15 +583,13 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
   JoinStats stats;
   NodeSequence result;
 
-  const BackendDispatch dispatch(doc_, options_);
-  const bool count_faults = dispatch.Pooled() && options_.pool != nullptr;
-  const uint64_t faults_before =
-      count_faults ? options_.pool->stats().faults : 0;
+  const BackendDispatch dispatch(snap_, options_, pool_);
+  const uint64_t faults_before = pool_ != nullptr ? pool_->stats().faults : 0;
 
   if (plan.positional && options_.engine != EngineMode::kStaircase) {
     // Naive engine: the per-context oracle path, whole-node reads over
     // the resident (merged) table.
-    SJ_ASSIGN_OR_RETURN(result, EvalStepPositional(step, context));
+    SJ_ASSIGN_OR_RETURN(result, EvalStepPositional(step, plan, context));
     if (top_level) {
       trace.description = ToString(step) + explain::kPositionalSuffix;
       if (dispatch.Pooled()) {
@@ -715,7 +613,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
   if (options_.engine != EngineMode::kStaircase) {
     // Naive engine: per-context evaluation with sort + unique (the
     // "standard RDBMS join algorithms" route of [8]), per-node filter.
-    SJ_ASSIGN_OR_RETURN(const DocTable* edoc, EffectiveDoc());
+    SJ_ASSIGN_OR_RETURN(const DocTable* edoc, snap_.MergedDoc());
     SJ_ASSIGN_OR_RETURN(result, NaiveAxisStep(*edoc, context, step.axis,
                                               &stats));
     trace.description = ToString(step) + explain::kPerContext;
@@ -744,9 +642,9 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
       if (IsReverseAxis(step.axis)) {
         std::reverse(axis_nodes.begin(), axis_nodes.end());
       }
-      SJ_ASSIGN_OR_RETURN(
-          axis_nodes,
-          RankWithinGroup(step, std::move(axis_nodes), &absolute_verdict));
+      SJ_ASSIGN_OR_RETURN(axis_nodes,
+                          RankWithinGroup(step, plan, std::move(axis_nodes),
+                                          &absolute_verdict));
       collected.insert(collected.end(), axis_nodes.begin(), axis_nodes.end());
     }
     std::sort(collected.begin(), collected.end());
@@ -763,8 +661,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
       trace.millis = timer.ElapsedMillis();
       trace.op = plan.op;
       trace.estimated_rows = plan.estimated_rows;
-      if (count_faults) {
-        trace.pool_faults = options_.pool->stats().faults - faults_before;
+      if (pool_ != nullptr) {
+        trace.pool_faults = pool_->stats().faults - faults_before;
       }
       trace_.push_back(std::move(trace));
     }
@@ -773,7 +671,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     if (plan.pushdown) {
       // The unified fragment join over the backend's cursor: the
       // pushed-down step's fragment reads AND its context postorder
-      // reads are charged to the step's backend (options_.pool when
+      // reads are charged to the step's backend (pool_ when
       // pool-backed). The fragment already applies the name test.
       SJ_ASSIGN_OR_RETURN(
           result, dispatch.PushdownView(*tag, context, step.axis, &stats));
@@ -818,7 +716,7 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
                         (dispatch.Pooled() ? explain::kBufferPoolSuffix : "");
   }
 
-  SJ_ASSIGN_OR_RETURN(result, ApplyPredicates(step, std::move(result)));
+  SJ_ASSIGN_OR_RETURN(result, ApplyPredicates(step, plan, std::move(result)));
 
   if (top_level) {
     stats.result_size = result.size();
@@ -826,8 +724,8 @@ Result<NodeSequence> Evaluator::EvalStep(const Step& step,
     trace.millis = timer.ElapsedMillis();
     trace.op = plan.op;
     trace.estimated_rows = plan.estimated_rows;
-    if (count_faults) {
-      trace.pool_faults = options_.pool->stats().faults - faults_before;
+    if (pool_ != nullptr) {
+      trace.pool_faults = pool_->stats().faults - faults_before;
     }
     trace_.push_back(std::move(trace));
   }
@@ -853,7 +751,5 @@ std::string ExplainTrace(const std::vector<StepTrace>& trace) {
   }
   return out;
 }
-
-std::string Evaluator::ExplainLastQuery() const { return ExplainTrace(trace_); }
 
 }  // namespace sj::xpath

@@ -18,26 +18,19 @@
 #ifndef STAIRJOIN_XPATH_EVALUATOR_H_
 #define STAIRJOIN_XPATH_EVALUATOR_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/parallel.h"
+#include "api/snapshot.h"
 #include "core/staircase_join.h"
-#include "core/tag_view.h"
 #include "core/twig_join.h"
-#include "delta/overlay.h"
 #include "encoding/doc_table.h"
-#include "storage/compressed_doc.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
+#include "storage/buffer_pool.h"
 #include "util/result.h"
 #include "xpath/ast.h"
 #include "xpath/cost_model.h"
-#include "xpath/parser.h"
 #include "xpath/plan.h"
 
 namespace sj::xpath {
@@ -69,7 +62,9 @@ enum class TwigMode : uint8_t {
   kNever,  ///< strict step-at-a-time evaluation
 };
 
-/// Evaluator configuration.
+/// Evaluator configuration: the semantic and execution knobs of one
+/// session. Which images, overlay and pool serve a query is the bound
+/// DatabaseSnapshot's and the Evaluator's business, not an option.
 struct EvalOptions {
   EngineMode engine = EngineMode::kStaircase;
   StaircaseOptions staircase;
@@ -77,14 +72,9 @@ struct EvalOptions {
   /// Whether eligible step runs (consecutive predicate-free name-test
   /// child/descendant(-or-self) steps) are evaluated as one holistic
   /// twig join instead of step-at-a-time. Requires the active backend's
-  /// fragment index (tag_index / paged_tags / compressed_tags);
-  /// ineligible runs and missing indexes silently fall back to
-  /// step-at-a-time. EXPLAIN shows the collapse.
+  /// fragment index; ineligible runs and missing indexes silently fall
+  /// back to step-at-a-time. EXPLAIN shows the collapse.
   TwigMode twig = TwigMode::kAuto;
-  /// Tag fragments for pushdown on the memory backend (pass null to
-  /// disable). Never consulted on the paged backend -- a memory-resident
-  /// fragment would silently bypass the buffer pool; see `paged_tags`.
-  const TagIndex* tag_index = nullptr;
   /// kAuto pushes a name test down iff the tag's node count is below this
   /// fraction of the document size ("selective name tests only"). Only
   /// consulted when `cost_model` is kOff -- under kAuto the estimator's
@@ -95,56 +85,13 @@ struct EvalOptions {
   /// page costs; kOff restores the static pushdown_selectivity
   /// threshold. Either way EXPLAIN prints est=N act=M per step.
   CostModelMode cost_model = CostModelMode::kAuto;
-  /// Level histogram + per-tag level spread of the bound document,
-  /// collected at Database open (null: the estimator falls back to
-  /// coarse document-size bounds; decisions stay deterministic).
-  const DocStatistics* doc_stats = nullptr;
   /// >1 runs the partitioned parallel staircase join with this many workers.
   unsigned num_threads = 1;
-  /// Storage backend for the axis-step joins. With kPaged, every step --
-  /// staircase joins, the non-staircase axis cursors, positional rank
-  /// joins AND the node-test filters -- reads post/kind/level/parent/tag
-  /// through `pool`; `paged_doc` and `pool` are then required and must
-  /// image the same document the evaluator is bound to.
+  /// Storage backend for the axis-step joins. With kPaged or
+  /// kCompressed, every step -- staircase joins, the non-staircase axis
+  /// cursors, positional rank joins AND the node-test filters -- reads
+  /// post/kind/level/parent/tag through the evaluator's pool.
   StorageBackend backend = StorageBackend::kMemory;
-  const storage::PagedDocTable* paged_doc = nullptr;
-  storage::BufferPool* pool = nullptr;
-  /// Paged tag fragments for pushdown on the paged backend (pass null to
-  /// disable pushdown there). Must image the same document as the
-  /// evaluator (digest-checked) and share `pool`'s disk. Pushed-down
-  /// steps then charge their fragment page reads to `pool` instead of
-  /// diving into the memory-resident TagIndex.
-  const storage::PagedTagIndex* paged_tags = nullptr;
-  /// With kCompressed, every step reads the block-compressed columns
-  /// through `pool`; `compressed_doc` and `pool` are then required and
-  /// must image the same document the evaluator is bound to
-  /// (digest-checked, like the paged pair).
-  const storage::CompressedDocTable* compressed_doc = nullptr;
-  /// Compressed tag fragments for pushdown on the compressed backend
-  /// (pass null to disable pushdown there); same contract as
-  /// `paged_tags`.
-  const storage::CompressedTagIndex* compressed_tags = nullptr;
-  /// Facade wiring (sj::Database): the DocColumnsDigest /
-  /// FragmentColumnsDigest of the bound document, already computed and
-  /// verified against the paged images at Database open time. When set,
-  /// the evaluator trusts them instead of running its own O(doc) digest
-  /// passes, so creating a session stays cheap.
-  std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
-  /// Snapshot overlay (updatable documents). When set and non-empty,
-  /// every join runs over the merged (base + delta) document in dense
-  /// logical pre ranks: base reads keep charging the backend's pool,
-  /// delta reads are resident (`delta/delta_accessor.h`). Null or empty
-  /// means the pristine document -- plans and traces are byte-identical
-  /// to a database that was never edited.
-  const delta::Overlay* overlay = nullptr;
-  /// Lazily materializes the merged document as a resident DocTable for
-  /// the per-context paths (naive engine, positional predicates, name
-  /// filtering on the naive path). Required when `overlay` is set.
-  std::function<Result<const DocTable*>()> overlay_doc;
-  /// Snapshot identity for EXPLAIN ("snapshot: epoch N (delta: M
-  /// nodes)"); epoch 0 = pristine, no line emitted.
-  uint64_t snapshot_epoch = 0;
 };
 
 /// Per-step diagnostics (an EXPLAIN of the executed plan).
@@ -166,77 +113,53 @@ struct StepTrace {
 };
 
 /// Renders a step trace as a readable multi-line EXPLAIN (the formatting
-/// behind Evaluator::ExplainLastQuery and sj::QueryResult::Explain).
+/// behind sj::QueryResult::Explain).
 std::string ExplainTrace(const std::vector<StepTrace>& trace);
 
-/// \brief Evaluates parsed location paths over one document.
+/// \brief Evaluates compiled location paths over one database snapshot.
 class Evaluator {
  public:
-  /// Binds the evaluator to `doc` (borrowed; must outlive the evaluator).
-  explicit Evaluator(const DocTable& doc, EvalOptions options = {});
-
-  /// Evaluates `path` with an explicit context sequence (document order,
-  /// duplicate free). Absolute paths ignore `context` and start at the
-  /// document element, as in the paper's usage root(doc).
-  Result<NodeSequence> Evaluate(const LocationPath& path,
-                                const NodeSequence& context);
-
-  /// Evaluates `path` from the document element.
-  Result<NodeSequence> Evaluate(const LocationPath& path);
-
-  /// Parses and evaluates an XPath string from the document element.
-  Result<NodeSequence> EvaluateString(std::string_view xpath);
-
-  /// Evaluates a union expression (document-order merge of the branches).
-  Result<NodeSequence> Evaluate(const UnionExpr& expr,
-                                const NodeSequence& context);
-
-  /// Parses and evaluates a union expression from the document element.
-  Result<NodeSequence> EvaluateUnionString(std::string_view xpath);
+  /// Binds the evaluator to `snap` (borrowed; must outlive the
+  /// evaluator): its images, its delta overlay when edited, and its
+  /// planner statistics. `pool` is where the pool-backed backends charge
+  /// their reads (the shared or a session-private pool); null on the
+  /// memory backend.
+  Evaluator(const DatabaseSnapshot& snap, EvalOptions options,
+            storage::BufferPool* pool);
 
   /// Analyzes `expr` into an immutable CompiledPlan: twig-run collapse,
   /// positional detection, tag interning and the pushdown decision are
-  /// settled HERE, once, instead of on every run. The decisions depend
-  /// only on the document and the semantic options (engine, backend,
-  /// pushdown, twig, pushdown_selectivity), so a plan compiled by one
-  /// evaluator is valid for any evaluator over the same document with
+  /// settled HERE, once, for every step -- existence-predicate sub-paths
+  /// included -- instead of on every run. The decisions depend only on
+  /// the snapshot and the semantic options (engine, backend, pushdown,
+  /// twig, pushdown_selectivity, cost_model), so a plan compiled by one
+  /// evaluator is valid for any evaluator over the same snapshot with
   /// equal semantic options -- the sharing contract of the Database
-  /// plan cache, whose key is exactly those fields.
+  /// plan cache, whose key is exactly those fields plus the epoch.
   CompiledPlan Compile(UnionExpr expr) const;
 
-  /// Evaluates a compiled plan (document-order merge of the branches).
-  /// Takes the same code paths as Evaluate(UnionExpr) with the planning
-  /// work pre-done; EXPLAIN traces are byte-identical.
+  /// Evaluates a compiled plan (document-order merge of the branches)
+  /// with an explicit context sequence (document order, duplicate free).
+  /// Absolute branches ignore `context` and start at the document
+  /// element, as in the paper's usage root(doc).
   Result<NodeSequence> Evaluate(const CompiledPlan& plan,
                                 const NodeSequence& context);
 
-  /// Plan diagnostics of the most recent top-level Evaluate call.
+  /// Plan diagnostics of the most recent Evaluate call.
   const std::vector<StepTrace>& last_trace() const { return trace_; }
 
-  /// Renders last_trace() as a readable multi-line EXPLAIN.
-  std::string ExplainLastQuery() const;
+  /// The pool this evaluator's reads are charged to (null on the memory
+  /// backend).
+  storage::BufferPool* pool() const { return pool_; }
 
  private:
-  /// Evaluate() minus the trace reset: union branches share one trace.
-  /// `planned` carries the branch's compiled decisions; null re-derives
-  /// them per step (the uncached path -- same decisions, same traces).
-  Result<NodeSequence> EvaluateKeepTrace(const LocationPath& path,
-                                         const NodeSequence& context,
-                                         const PlannedPath* planned = nullptr);
-  /// Shared body of the two union Evaluate overloads.
-  Result<NodeSequence> EvaluateUnion(const UnionExpr& expr,
-                                     const std::vector<PlannedPath>* planned,
-                                     const NodeSequence& context);
-  /// Shared identity check of the pool-backed backends: the bound image
-  /// (and, when present, its fragment index) must carry this document's
-  /// column digests. `image_frag_digest` is nullopt when the backend
-  /// has no fragment index configured.
-  Status CheckImageDigests(size_t image_size, uint64_t image_doc_digest,
-                           std::optional<uint64_t> image_frag_digest,
-                           const char* backend_name);
-  Result<NodeSequence> EvalSteps(const std::vector<Step>& steps, size_t first,
-                                 NodeSequence context, bool top_level,
-                                 const PlannedPath* planned = nullptr);
+  /// One union branch; union branches share one trace.
+  Result<NodeSequence> EvaluateBranch(const LocationPath& path,
+                                      const PlannedPath& planned,
+                                      const NodeSequence& context);
+  Result<NodeSequence> EvalSteps(const std::vector<Step>& steps,
+                                 const PlannedPath& planned,
+                                 NodeSequence context, bool top_level);
   Result<NodeSequence> EvalStep(const Step& step, const NodeSequence& context,
                                 bool top_level, const PlannedStep& plan);
   /// Longest eligible twig run starting at steps[first] (>= 2 levels, no
@@ -246,22 +169,20 @@ class Evaluator {
   /// for one kDescendant level). twig_consumed == 0 when the
   /// engine/backend gates or the steps disqualify a collapse.
   PlannedStep MatchTwigRun(const std::vector<Step>& steps, size_t first) const;
-  /// The cost model instance of this evaluator's statistics wiring:
-  /// DocStatistics (when the facade collected them), the merged logical
-  /// size, the backend's page-cost unit, and per-tag counts read through
-  /// BackendDispatch::TagCount -- on an edited snapshot that is the
-  /// overlay's MERGED dictionary, so fresh delta tags estimate from
-  /// their real fragment sizes.
+  /// The cost model instance of this evaluator's snapshot: its
+  /// DocStatistics, the merged logical size, the backend's page-cost
+  /// unit, and per-tag counts read through BackendDispatch::TagCount --
+  /// on an edited snapshot that is the overlay's MERGED dictionary, so
+  /// fresh delta tags estimate from their real fragment sizes.
   CardinalityEstimator MakeEstimator() const;
-  /// Plans a whole location path: the same walk Compile freezes per
-  /// branch, chaining ContextEstimates from the root so every step
-  /// carries estimated_rows and a cost-chosen operator. EvalSteps calls
-  /// this when handed no compiled plan -- one shared derivation, so
-  /// cached and uncached runs decide (and trace) identically.
+  /// Plans a whole location path: the walk EvalSteps performs, chaining
+  /// ContextEstimates from the root so every step carries
+  /// estimated_rows and a cost-chosen operator. Per-run context sizes
+  /// never influence a decision, so one plan serves every context.
   PlannedPath PlanPath(const std::vector<Step>& steps) const;
   /// The per-step planning decisions of one non-twig step (positional
-  /// detection, tag interning, operator choice by cost); advances `ctx`
-  /// to the step's output estimate.
+  /// detection, tag interning, operator choice by cost, predicate
+  /// sub-path plans); advances `ctx` to the step's output estimate.
   PlannedStep PlanStep(const Step& step, const CardinalityEstimator& est,
                        ContextEstimate* ctx) const;
   /// Evaluates a matched run as one twig join and records its trace:
@@ -275,18 +196,22 @@ class Evaluator {
   /// (merged) table. The staircase engine routes positional steps
   /// through the set-at-a-time rank join instead (EvalStep).
   Result<NodeSequence> EvalStepPositional(const Step& step,
+                                          const PlannedStep& plan,
                                           const NodeSequence& context);
   /// Applies a positional step's predicate chain to one context node's
   /// axis output (already reversed for reverse axes): positions index
   /// the list surviving the previous predicates. `absolute_verdict`
   /// memoizes context-invariant absolute predicate paths per step.
   Result<NodeSequence> RankWithinGroup(
-      const Step& step, NodeSequence axis_nodes,
+      const Step& step, const PlannedStep& plan, NodeSequence axis_nodes,
       std::vector<std::optional<bool>>* absolute_verdict);
-  Result<NodeSequence> ApplyPredicates(const Step& step, NodeSequence nodes);
-  Result<bool> PredicateHolds(const Predicate& pred, NodeId node);
-  /// `doc` is EffectiveDoc(): the bound table, or the materialized merged
-  /// table when a delta overlay is active.
+  Result<NodeSequence> ApplyPredicates(const Step& step,
+                                       const PlannedStep& plan,
+                                       NodeSequence nodes);
+  Result<bool> PredicateHolds(const Predicate& pred,
+                              const PlannedPath& planned, NodeId node);
+  /// `doc` is the snapshot's MergedDoc(): the base table, or the
+  /// materialized merged table when a delta overlay is active.
   NodeSequence FilterByTest(const DocTable& doc, const Step& step,
                             const NodeSequence& nodes) const;
   /// The pushdown decision: hint pins (kAlways/kNever) win; kAuto defers
@@ -295,28 +220,19 @@ class Evaluator {
   bool ShouldPushdown(const Step& step, TagId tag,
                       const CardinalityEstimator& est,
                       const ContextEstimate& in) const;
-  /// True when options_ carry a non-empty delta overlay.
-  bool Overlaid() const;
-  /// Merged document size (doc_.size() when pristine).
-  size_t LogicalSize() const;
   /// Tag lookup against the merged dictionary (base dictionary when
-  /// pristine); nullopt for never-interned names, as before.
+  /// pristine); nullopt for never-interned names.
   std::optional<TagId> LookupTag(std::string_view name) const;
-  /// The table the per-context paths (naive engine, positional
-  /// predicates) read: doc_ when pristine, the overlay's lazily
-  /// materialized merged table otherwise.
-  Result<const DocTable*> EffectiveDoc();
+  /// The context a path starts from: `context`, or the document element
+  /// when `absolute`.
+  NodeSequence StartOf(bool absolute, const NodeSequence& context) const;
 
+  const DatabaseSnapshot& snap_;
+  /// The snapshot's base table.
   const DocTable& doc_;
   EvalOptions options_;
+  storage::BufferPool* pool_;
   std::vector<StepTrace> trace_;
-  /// Lazily computed DocColumnsDigest of doc_, used to check that a
-  /// paged backend images the same document (computed on first paged
-  /// query).
-  std::optional<uint64_t> doc_digest_;
-  /// Lazily computed FragmentColumnsDigest of doc_, the matching check
-  /// for EvalOptions::paged_tags.
-  std::optional<uint64_t> frag_digest_;
 };
 
 }  // namespace sj::xpath

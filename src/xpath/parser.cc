@@ -183,7 +183,14 @@ class Parser {
       } else if (Consume("last()")) {
         pred.kind = Predicate::Kind::kLast;
       } else {
+        if (++depth_ > kMaxPredicateDepth) {
+          return Status::InvalidArgument(
+              "XPath, offset " + std::to_string(pos_) +
+              ": predicates nested deeper than " +
+              std::to_string(kMaxPredicateDepth));
+        }
         SJ_ASSIGN_OR_RETURN(LocationPath path, ParsePath());
+        --depth_;
         if (path.steps.empty() && !path.absolute) {
           return Error("empty predicate");
         }
@@ -233,6 +240,8 @@ class Parser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  /// Predicate nesting of the path being parsed.
+  size_t depth_ = 0;
 };
 
 }  // namespace

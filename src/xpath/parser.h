@@ -3,12 +3,19 @@
 #ifndef STAIRJOIN_XPATH_PARSER_H_
 #define STAIRJOIN_XPATH_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "util/result.h"
 #include "xpath/ast.h"
 
 namespace sj::xpath {
+
+/// Deepest predicate nesting (`a[b[c]]` nests 2) the parser accepts.
+/// Parsing, planning and predicate evaluation all recurse once per
+/// level, so hostile input past this bound is rejected with
+/// InvalidArgument instead of overflowing the stack.
+inline constexpr size_t kMaxPredicateDepth = 1024;
 
 /// \brief Parses an XPath location path.
 ///
@@ -23,7 +30,8 @@ namespace sj::xpath {
 ///
 /// `//` expands to `/descendant-or-self::node()/`. Predicates may also be
 /// positional: `[N]` (1-based, in axis order) or `[last()]`. Returns
-/// ParseError with a position for malformed input.
+/// ParseError with a position for malformed input, InvalidArgument for
+/// predicates nested deeper than kMaxPredicateDepth.
 Result<LocationPath> ParseXPath(std::string_view input);
 
 /// \brief Parses a union of location paths: `p1 | p2 | ...`.

@@ -6,9 +6,9 @@
 // twig-run collapse (which step runs start a holistic twig join and
 // over which fragment levels), positional-predicate detection, tag
 // interning, and the pushdown choice of the cost model. Executing a
-// CompiledPlan via Evaluator::Evaluate(plan, context) then takes the
-// exact same code paths -- and produces byte-identical EXPLAIN traces --
-// as evaluating the raw AST, minus the re-planning work.
+// CompiledPlan via Evaluator::Evaluate(plan, context) is the only way
+// a query runs: every step, existence-predicate sub-paths included,
+// executes a decision frozen here.
 //
 // A CompiledPlan is immutable after Compile and self-contained (it owns
 // a copy of the AST), so one plan is safely shared by any number of
@@ -43,6 +43,8 @@ enum class StepOperator : uint8_t {
   kEmpty,         ///< statically empty (unknown tag)
 };
 
+struct PlannedPath;
+
 /// The analyzed form of one location step.
 struct PlannedStep {
   /// >0: this step starts a twig run -- `twig_consumed` consecutive
@@ -64,6 +66,9 @@ struct PlannedStep {
   /// Staircase name-test steps only: evaluate over the tag fragment
   /// (the cost model's call at compile time).
   bool pushdown = false;
+  /// Index-parallel to Step::predicates: the plan of each existence
+  /// predicate's path (empty for positional predicates).
+  std::vector<PlannedPath> predicates;
 
   /// The operator the cost model chose (EXPLAIN / PlanSummary token).
   StepOperator op = StepOperator::kStaircase;

@@ -15,7 +15,8 @@
 #include "api/database.h"
 #include "baselines/naive.h"
 #include "bat/operators.h"
-#include "core/axis_step.h"
+#include "core/axis_impl.h"
+#include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
 #include "storage/paged_accessor.h"
 #include "storage/paged_doc.h"
@@ -40,6 +41,17 @@ bool BytesEqual(const NodeSequence& a, const NodeSequence& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(NodeId)) == 0);
+}
+
+/// One axis step over a fresh accessor from `make_acc`; the accessor and
+/// every page it pinned are released before the result returns, as
+/// inside a session step.
+template <typename MakeAcc>
+Result<NodeSequence> CursorStep(MakeAcc make_acc, const NodeSequence& ctx,
+                                Axis axis, const AxisNodeTest& test = {},
+                                JoinStats* stats = nullptr) {
+  auto acc = make_acc();
+  return internal::AxisStepOver(acc, ctx, axis, test, stats);
 }
 
 /// Context union its ancestor closure: nested context nodes are the
@@ -69,6 +81,7 @@ NodeSequence FilterOracle(const DocTable& doc, const NodeSequence& nodes,
 
 TEST(AxisCursorTest, MatchesBothOraclesOnPaperExample) {
   auto doc = LoadPaperExample();
+  auto mem = [&] { return MemoryDocAccessor(*doc); };
   const NodeSequence contexts[] = {
       {0}, {0, 1, 2}, {1, 4}, {2, 6, 9}, {0, 4, 5, 8},
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
@@ -76,7 +89,7 @@ TEST(AxisCursorTest, MatchesBothOraclesOnPaperExample) {
   for (const NodeSequence& ctx : contexts) {
     for (Axis axis : kCursorAxes) {
       JoinStats stats;
-      auto got = AxisCursorStep(*doc, ctx, axis, {}, &stats);
+      auto got = CursorStep(mem, ctx, axis, {}, &stats);
       ASSERT_TRUE(got.ok()) << AxisName(axis) << ": " << got.status();
       auto naive = NaiveAxisStep(*doc, ctx, axis);
       ASSERT_TRUE(naive.ok());
@@ -115,6 +128,9 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
     auto paged = PagedDocTable::Create(*doc, &disk).value();
     auto compressed = CompressedDocTable::Create(*doc, &disk).value();
     BufferPool pool(&disk, 16);
+    auto mem = [&] { return MemoryDocAccessor(*doc); };
+    auto io = [&] { return PagedDocAccessor(*paged, &pool); };
+    auto zip_acc = [&] { return CompressedDocAccessor(*compressed, &pool); };
     Rng rng(seed * 131 + shape);
     NodeSequence sparse = RandomContext(rng, *doc, 2);
     NodeSequence dense = RandomContext(rng, *doc, 25);
@@ -123,15 +139,13 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
       if (ctx->empty()) continue;
       for (Axis axis : kCursorAxes) {
         JoinStats mem_stats, io_stats, zip_stats;
-        auto expected = AxisCursorStep(*doc, *ctx, axis, {}, &mem_stats);
+        auto expected = CursorStep(mem, *ctx, axis, {}, &mem_stats);
         ASSERT_TRUE(expected.ok()) << expected.status();
-        auto got = PagedAxisCursorStep(*paged, &pool, *ctx, axis, {},
-                                       &io_stats);
+        auto got = CursorStep(io, *ctx, axis, {}, &io_stats);
         ASSERT_TRUE(got.ok()) << got.status();
         EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
             << AxisName(axis) << " seed " << seed << " shape " << shape;
-        auto zip = CompressedAxisCursorStep(*compressed, &pool, *ctx, axis,
-                                            {}, &zip_stats);
+        auto zip = CursorStep(zip_acc, *ctx, axis, {}, &zip_stats);
         ASSERT_TRUE(zip.ok()) << zip.status();
         EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
             << "compressed " << AxisName(axis) << " seed " << seed
@@ -190,11 +204,13 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
   for (Axis axis : kCursorAxes) {
     auto expected = NaiveAxisStep(*doc, ctx, axis);
     ASSERT_TRUE(expected.ok());
-    auto mem = AxisCursorStep(*doc, ctx, axis);
+    auto mem = CursorStep([&] { return MemoryDocAccessor(*doc); }, ctx, axis);
     ASSERT_TRUE(mem.ok()) << mem.status();
-    auto io = PagedAxisCursorStep(*paged, &pool, ctx, axis);
+    auto io =
+        CursorStep([&] { return PagedDocAccessor(*paged, &pool); }, ctx, axis);
     ASSERT_TRUE(io.ok()) << io.status();
-    auto zip = CompressedAxisCursorStep(*compressed, &pool, ctx, axis);
+    auto zip = CursorStep(
+        [&] { return CompressedDocAccessor(*compressed, &pool); }, ctx, axis);
     ASSERT_TRUE(zip.ok()) << zip.status();
     EXPECT_TRUE(BytesEqual(mem.value(), expected.value())) << AxisName(axis);
     EXPECT_TRUE(BytesEqual(io.value(), expected.value())) << AxisName(axis);
@@ -219,9 +235,10 @@ TEST(AxisCursorTest, FoldedNodeTestMatchesPostFiltering) {
       AxisNodeTest::OfKindAndTag(NodeKind::kElement, *t1),
       AxisNodeTest::OfKindAndTag(NodeKind::kAttribute, *t1),
   };
+  auto mem = [&] { return MemoryDocAccessor(*doc); };
   for (Axis axis : kCursorAxes) {
     for (const AxisNodeTest& test : tests) {
-      auto got = AxisCursorStep(*doc, ctx, axis, test);
+      auto got = CursorStep(mem, ctx, axis, test);
       ASSERT_TRUE(got.ok()) << got.status();
       auto raw = NaiveAxisStep(*doc, ctx, axis);
       ASSERT_TRUE(raw.ok());
@@ -239,9 +256,10 @@ TEST(AxisCursorTest, StatsKeepNaiveParityAndAvoidDuplicates) {
   // duplicate elimination, the cursor kernels never produce duplicates.
   NodeSequence ctx = RandomContext(rng, *doc, 40);
   bool saw_sibling_duplicates = false;
+  auto mem = [&] { return MemoryDocAccessor(*doc); };
   for (Axis axis : kCursorAxes) {
     JoinStats cursor, naive;
-    auto got = AxisCursorStep(*doc, ctx, axis, {}, &cursor);
+    auto got = CursorStep(mem, ctx, axis, {}, &cursor);
     auto base = NaiveAxisStep(*doc, ctx, axis, &naive);
     ASSERT_TRUE(got.ok() && base.ok()) << AxisName(axis);
     EXPECT_EQ(cursor.result_size, naive.result_size) << AxisName(axis);
@@ -279,7 +297,8 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
     AxisNodeTest test = AxisNodeTest::OfKindAndTag(
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
-    auto r = PagedAxisCursorStep(*paged, &pool, ctx, axis, test);
+    auto r = CursorStep([&] { return PagedDocAccessor(*paged, &pool); }, ctx,
+                        axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     EXPECT_GT(pool.stats().faults, 0u)
         << AxisName(axis) << " read no pages on a cold pool";
@@ -302,11 +321,13 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
         axis == Axis::kAttribute ? NodeKind::kAttribute : NodeKind::kElement,
         *t0);
     BufferPool paged_pool(&disk, 16);
-    auto r = PagedAxisCursorStep(*paged, &paged_pool, ctx, axis, test);
+    auto r = CursorStep([&] { return PagedDocAccessor(*paged, &paged_pool); },
+                        ctx, axis, test);
     ASSERT_TRUE(r.ok()) << AxisName(axis) << ": " << r.status();
     BufferPool zip_pool(&disk, 16);
-    auto z = CompressedAxisCursorStep(*compressed, &zip_pool, ctx, axis,
-                                      test);
+    auto z = CursorStep(
+        [&] { return CompressedDocAccessor(*compressed, &zip_pool); }, ctx,
+        axis, test);
     ASSERT_TRUE(z.ok()) << AxisName(axis) << ": " << z.status();
     // Every step charges the pool -- and the compressed image never
     // needs more pages than the uncompressed one for the same reads.
@@ -323,7 +344,8 @@ TEST(PagedAxisCursorTest, SurfacesPoolExhaustion) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 1);
   ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());  // starve the cursor
-  auto r = PagedAxisCursorStep(*paged, &pool, {0}, Axis::kChild);
+  auto r = CursorStep([&] { return PagedDocAccessor(*paged, &pool); }, {0},
+                      Axis::kChild);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -341,9 +363,9 @@ TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
   BufferPool pool(&disk, 3);
   std::optional<TagId> b = doc->tags().Lookup("b");
   ASSERT_TRUE(b.has_value());
-  auto r = PagedAxisCursorStep(
-      *paged, &pool, {0}, Axis::kChild,
-      AxisNodeTest::OfKindAndTag(NodeKind::kElement, *b));
+  auto r = CursorStep([&] { return PagedDocAccessor(*paged, &pool); }, {0},
+                      Axis::kChild,
+                      AxisNodeTest::OfKindAndTag(NodeKind::kElement, *b));
   EXPECT_FALSE(r.ok());
 }
 

@@ -133,7 +133,8 @@ void ExpectColumnsEquivalent(const Database& edited, const Database& ref) {
   const delta::Overlay& overlay = *snap->overlay();
   const DocTable& base = *snap->images().doc;
   const DocTable& want = ref.doc();
-  delta::DeltaDocAccessor<MemoryDocAccessor> acc(overlay, base);
+  delta::DeltaDocAccessor<MemoryDocAccessor> acc(
+      overlay, [&base] { return MemoryDocAccessor(base); });
   ASSERT_EQ(acc.size(), want.size());
   for (NodeId v = 0; v < want.size(); ++v) {
     EXPECT_EQ(acc.Post(v), want.post(v)) << "post(" << v << ")";
@@ -414,7 +415,8 @@ TEST(DeltaStore, SessionsFollowTheSnapshotChain) {
 /// occasional attribute and text content.
 std::string RandomFragmentXml(Rng& rng) {
   const uint64_t shape = rng.Below(5);
-  std::string tag = "t" + std::to_string(rng.Below(8));  // t6/t7: fresh names
+  std::string tag = "t";
+  tag += std::to_string(rng.Below(8));  // t6/t7: fresh names
   std::string xml = "<" + tag;
   if (rng.Below(3) == 0) {
     xml += " a=\"" + std::to_string(rng.Below(100)) + "\"";

@@ -16,6 +16,7 @@
 
 #include "api/database.h"
 #include "core/fragment_cursor.h"
+#include "core/fragment_impl.h"
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
 #include "encoding/loader.h"
@@ -122,12 +123,20 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto mem = StaircaseJoinView(*doc, view, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(mem.ok()) << mem.status();
-          auto io = PagedStaircaseJoinView(*paged_tags, tag, *paged_doc,
-                                           &pool, ctx, axis, opt, &io_stats);
+          auto io = [&] {
+            PagedFragmentCursor frag(paged_tags->fragment(tag), &pool);
+            PagedDocAccessor acc(*paged_doc, &pool);
+            return internal::FragmentStaircaseJoinOver(frag, acc, ctx, axis,
+                                                       opt, &io_stats);
+          }();
           ASSERT_TRUE(io.ok()) << io.status();
-          auto zip = CompressedStaircaseJoinView(*compressed_tags, tag,
-                                                 *compressed_doc, &pool, ctx,
-                                                 axis, opt, &zip_stats);
+          auto zip = [&] {
+            CompressedFragmentCursor frag(compressed_tags->fragment(tag),
+                                          &pool);
+            CompressedDocAccessor acc(*compressed_doc, &pool);
+            return internal::FragmentStaircaseJoinOver(frag, acc, ctx, axis,
+                                                       opt, &zip_stats);
+          }();
           ASSERT_TRUE(zip.ok()) << zip.status();
 
           NodeSequence oracle = JoinThenFilter(*doc, ctx, axis, tag, opt);
@@ -288,8 +297,10 @@ TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
   EXPECT_FALSE(io.ok());
   EXPECT_EQ(io.LowerBound(0), io.size());  // terminates joins quickly
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoinView(*paged_tags, t, *paged_doc, &pool, {0},
-                                  Axis::kDescendant);
+  PagedFragmentCursor join_frag(paged_tags->fragment(t), &pool);
+  PagedDocAccessor join_acc(*paged_doc, &pool);
+  auto r = internal::FragmentStaircaseJoinOver(
+      join_frag, join_acc, {0}, Axis::kDescendant, {}, nullptr);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged_doc->KindPage(0)).ok());
 }

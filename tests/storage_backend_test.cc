@@ -14,6 +14,7 @@
 
 #include "api/database.h"
 #include "core/doc_accessor.h"
+#include "core/staircase_impl.h"
 #include "storage/compressed_accessor.h"
 #include "storage/compressed_doc.h"
 #include "storage/paged_accessor.h"
@@ -104,8 +105,9 @@ TEST(DocAccessorTest, CompressedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = CompressedStaircaseJoin(*compressed, &pool, {0},
-                                   Axis::kDescendant);
+  CompressedDocAccessor join_acc(*compressed, &pool);
+  auto r = internal::StaircaseJoinOver(join_acc, {0}, Axis::kDescendant, {},
+                                       nullptr);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(compressed->kind().pages.front()).ok());
 }
@@ -123,7 +125,9 @@ TEST(DocAccessorTest, PagedCursorIsStickyOnPoolExhaustion) {
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  auto r = PagedStaircaseJoin(*paged, &pool, {0}, Axis::kDescendant);
+  PagedDocAccessor join_acc(*paged, &pool);
+  auto r = internal::StaircaseJoinOver(join_acc, {0}, Axis::kDescendant, {},
+                                       nullptr);
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
 }
@@ -144,6 +148,11 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   auto compressed = CompressedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 16);
+  // Fresh accessors per join, as a session step builds them: the shared
+  // driver with one worker runs the serial join over one accessor and
+  // releases its pins on return.
+  auto paged_acc = [&] { return PagedDocAccessor(*paged, &pool); };
+  auto zip_acc = [&] { return CompressedDocAccessor(*compressed, &pool); };
   Rng rng(seed * 31 + 7);
   for (uint32_t percent : {2u, 25u}) {
     NodeSequence ctx = RandomContext(rng, *doc, percent);
@@ -156,14 +165,14 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           JoinStats mem_stats, io_stats, zip_stats;
           auto expected = StaircaseJoin(*doc, ctx, axis, opt, &mem_stats);
           ASSERT_TRUE(expected.ok()) << expected.status();
-          auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt,
-                                        &io_stats);
+          auto got = internal::ParallelStaircaseJoinOver(
+              paged_acc, ctx, axis, opt, 1, &io_stats);
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
               << AxisName(axis) << " mode " << static_cast<int>(mode)
               << " fused " << fused << " seed " << seed;
-          auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis,
-                                             opt, &zip_stats);
+          auto zip = internal::ParallelStaircaseJoinOver(
+              zip_acc, ctx, axis, opt, 1, &zip_stats);
           ASSERT_TRUE(zip.ok()) << zip.status();
           EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
               << "compressed " << AxisName(axis) << " mode "
@@ -177,13 +186,13 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
           EXPECT_EQ(zip_stats.nodes_copied, mem_stats.nodes_copied);
           EXPECT_EQ(zip_stats.nodes_skipped, mem_stats.nodes_skipped);
 
-          auto par = ParallelPagedStaircaseJoin(*paged, &pool, ctx, axis,
-                                                opt, 4);
+          auto par = internal::ParallelStaircaseJoinOver(paged_acc, ctx, axis,
+                                                         opt, 4, nullptr);
           ASSERT_TRUE(par.ok()) << par.status();
           EXPECT_TRUE(BytesEqual(par.value(), expected.value()))
               << "parallel " << AxisName(axis) << " seed " << seed;
-          auto zpar = ParallelCompressedStaircaseJoin(*compressed, &pool,
-                                                      ctx, axis, opt, 4);
+          auto zpar = internal::ParallelStaircaseJoinOver(zip_acc, ctx, axis,
+                                                          opt, 4, nullptr);
           ASSERT_TRUE(zpar.ok()) << zpar.status();
           EXPECT_TRUE(BytesEqual(zpar.value(), expected.value()))
               << "parallel compressed " << AxisName(axis) << " seed " << seed;
@@ -203,6 +212,8 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
   auto paged = PagedDocTable::Create(*doc, &disk).value();
   auto compressed = CompressedDocTable::Create(*doc, &disk).value();
   BufferPool pool(&disk, 16);
+  auto paged_acc = [&] { return PagedDocAccessor(*paged, &pool); };
+  auto zip_acc = [&] { return CompressedDocAccessor(*compressed, &pool); };
   Rng rng(17);
   NodeSequence ctx = RandomContext(rng, *doc, 10);
   for (Axis axis : kStaircaseAxes) {
@@ -211,11 +222,13 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
       opt.keep_attributes = keep_attributes;
       opt.use_exact_level = true;  // exercises the pool-backed level column
       auto expected = StaircaseJoin(*doc, ctx, axis, opt);
-      auto got = PagedStaircaseJoin(*paged, &pool, ctx, axis, opt);
+      auto got = internal::ParallelStaircaseJoinOver(paged_acc, ctx, axis, opt,
+                                                     1, nullptr);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_TRUE(BytesEqual(got.value(), expected.value()))
           << AxisName(axis) << " keep_attributes " << keep_attributes;
-      auto zip = CompressedStaircaseJoin(*compressed, &pool, ctx, axis, opt);
+      auto zip = internal::ParallelStaircaseJoinOver(zip_acc, ctx, axis, opt,
+                                                     1, nullptr);
       ASSERT_TRUE(zip.ok()) << zip.status();
       EXPECT_TRUE(BytesEqual(zip.value(), expected.value()))
           << "compressed " << AxisName(axis) << " keep_attributes "
@@ -274,6 +287,46 @@ TEST(PagedEvaluatorTest, ParallelWorkersMatchOverSharedPool) {
   auto got = io.Run("/descendant::t0/descendant::node()");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_TRUE(BytesEqual(got.value().nodes, expected.value().nodes));
+}
+
+TEST(PagedEvaluatorTest, WorkerClampFitsPrivatePools) {
+  // Each worker pins up to three pages and the driver one more, so a
+  // pool of P pages runs (P - 1) / 3 workers at most: 4 pages -> serial,
+  // 7 pages -> 2 workers, whatever num_threads asks for.
+  auto db = Database::FromTable(RandomDocument(13, {.target_nodes = 60000}))
+                .value();
+  Session mem = std::move(db->CreateSession()).value();
+  const char* join = "/descendant::t0/descendant::node()";
+  const char* next = "/descendant::t1/ancestor::t0";
+  auto expected = mem.Run(join);
+  auto expected_next = mem.Run(next);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(expected_next.ok()) << expected_next.status();
+  for (StorageBackend backend :
+       {StorageBackend::kPaged, StorageBackend::kCompressed}) {
+    for (auto [pages, workers] : {std::pair<size_t, uint64_t>{4, 1},
+                                  std::pair<size_t, uint64_t>{7, 2}}) {
+      SessionOptions opt;
+      opt.backend = backend;
+      opt.num_threads = 8;
+      opt.private_pool_pages = pages;
+      // Pushdown and twig cursors pin more pages than a 4-page pool holds;
+      // this test is about the staircase join's worker budget.
+      opt.hints.pushdown = PushdownMode::kNever;
+      opt.hints.twig = TwigMode::kNever;
+      Session io = std::move(db->CreateSession(opt)).value();
+      auto got = io.Run(join);
+      ASSERT_TRUE(got.ok()) << pages << " pages: " << got.status();
+      EXPECT_TRUE(BytesEqual(got.value().nodes, expected.value().nodes))
+          << pages << " pages";
+      EXPECT_EQ(got.value().totals.workers, workers) << pages << " pages";
+      // Every pin was released: the same session keeps running queries.
+      auto then = io.Run(next);
+      ASSERT_TRUE(then.ok()) << pages << " pages: " << then.status();
+      EXPECT_TRUE(BytesEqual(then.value().nodes, expected_next.value().nodes))
+          << pages << " pages";
+    }
+  }
 }
 
 TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {

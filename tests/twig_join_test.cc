@@ -17,6 +17,7 @@
 
 #include "api/database.h"
 #include "core/tag_view.h"
+#include "core/twig_impl.h"
 #include "core/twig_join.h"
 #include "test_util.h"
 
@@ -274,10 +275,22 @@ TEST(TwigJoinTest, KernelStatsAreSelfConsistent) {
     ASSERT_TRUE(tag.has_value()) << name;
     levels.push_back({Axis::kDescendant, *tag});
   }
+  // The twig driver over the in-memory cursors, one per level.
+  auto twig = [&](const StaircaseOptions& opts, JoinStats* stats,
+                  std::vector<TwigLevelStats>* per_level) {
+    std::vector<MemoryFragmentCursor> owned;
+    for (const TwigLevel& level : levels) {
+      owned.emplace_back(tags.view(level.tag));
+    }
+    std::vector<MemoryFragmentCursor*> cursors;
+    for (MemoryFragmentCursor& cursor : owned) cursors.push_back(&cursor);
+    MemoryDocAccessor acc(*doc);
+    return internal::TwigJoinOver(cursors, acc, NodeSequence{0}, levels, opts,
+                                  stats, per_level);
+  };
   JoinStats stats;
   std::vector<TwigLevelStats> per_level;
-  NodeSequence context{0};
-  auto r = TwigJoin(*doc, tags, context, levels, {}, &stats, &per_level);
+  auto r = twig({}, &stats, &per_level);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(stats.result_size, r.value().size());
   EXPECT_EQ(stats.nodes_copied, 0u);
@@ -300,8 +313,7 @@ TEST(TwigJoinTest, KernelStatsAreSelfConsistent) {
   StaircaseOptions opts;
   opts.skip_mode = SkipMode::kNone;
   std::vector<TwigLevelStats> no_skip_levels;
-  auto r2 = TwigJoin(*doc, tags, context, levels, opts, &no_skip,
-                     &no_skip_levels);
+  auto r2 = twig(opts, &no_skip, &no_skip_levels);
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(BytesEqual(r2.value(), r.value()));
   EXPECT_EQ(no_skip.nodes_skipped, 0u);

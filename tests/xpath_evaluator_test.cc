@@ -12,6 +12,7 @@
 #include "encoding/loader.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "xpath/parser.h"
 
 namespace sj {
 namespace {
@@ -286,15 +287,54 @@ TEST(XPathEvaluatorErrorTest, BadInputs) {
   EXPECT_FALSE(session.Run("child::a", {9999}).ok());   // out of range
 }
 
+TEST(XPathEvaluatorErrorTest, DeepPredicateNestingEndsInStatus) {
+  // "a[a[...]]" nested `depth` times; `step` is the nested step's text.
+  auto nested = [](const std::string& step, int depth) {
+    std::string q = step;
+    for (int i = 0; i < depth; ++i) q += "[" + step;
+    return q + std::string(depth, ']');
+  };
+  // Hostile depth: a Status from the parser and from a session, never a
+  // stack overflow.
+  const std::string hostile = nested("a", 10000);
+  auto parsed = xpath::ParseXPathUnion(hostile);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  auto db = Database::FromXml("<a><a/></a>").value();
+  Session session = std::move(db->CreateSession()).value();
+  auto run = session.Run(hostile);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  // Depth 1,000 still parses, and evaluates every level: each self::a
+  // predicate holds, so the recursion reaches the innermost one.
+  const std::string deep = nested("self::a", 1000);
+  EXPECT_TRUE(xpath::ParseXPathUnion(deep).ok());
+  auto r = session.Run(deep);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r.value().nodes, NodeSequence{0});
+}
+
 TEST(DatabaseOpenTest, PagedBackendRequiresPagedImage) {
-  DatabaseOptions open;
-  open.build_paged = false;
-  auto db = Database::FromXml(kSmallDoc, open).value();
-  SessionOptions paged;
-  paged.backend = StorageBackend::kPaged;
-  auto session = db->CreateSession(paged);
-  EXPECT_FALSE(session.ok());
-  EXPECT_NE(session.status().ToString().find("paged"), std::string::npos);
+  struct Case {
+    StorageBackend backend;
+    bool DatabaseOptions::*build;
+    const char* name;
+  } cases[] = {
+      {StorageBackend::kPaged, &DatabaseOptions::build_paged, "paged"},
+      {StorageBackend::kCompressed, &DatabaseOptions::build_compressed,
+       "compressed"},
+  };
+  for (const Case& c : cases) {
+    DatabaseOptions open;
+    open.*c.build = false;
+    auto db = Database::FromXml(kSmallDoc, open).value();
+    SessionOptions options;
+    options.backend = c.backend;
+    auto session = db->CreateSession(options);
+    EXPECT_FALSE(session.ok()) << c.name;
+    EXPECT_NE(session.status().ToString().find(c.name), std::string::npos)
+        << session.status();
+  }
 }
 
 }  // namespace

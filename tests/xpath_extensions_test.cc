@@ -4,15 +4,35 @@
 
 #include <gtest/gtest.h>
 
+#include "api/database.h"
 #include "core/tag_view.h"
 #include "encoding/collection.h"
 #include "encoding/loader.h"
 #include "test_util.h"
 #include "xmlgen/xmark.h"
-#include "xpath/evaluator.h"
+#include "xpath/parser.h"
 
 namespace sj::xpath {
 namespace {
+
+/// A memory-backend session over `doc` (the database takes ownership).
+struct Db {
+  explicit Db(std::unique_ptr<DocTable> doc)
+      : db(Database::FromTable(std::move(doc)).value()),
+        session(std::move(db->CreateSession()).value()) {}
+
+  /// Runs `q` (from the document root, or from `context` for relative
+  /// paths) and returns its nodes; a failed run fails the test.
+  NodeSequence Run(const std::string& q,
+                   std::optional<NodeSequence> context = std::nullopt) {
+    auto r = context.has_value() ? session.Run(q, *context) : session.Run(q);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+    return r.ok() ? r.value().nodes : NodeSequence{};
+  }
+
+  std::unique_ptr<Database> db;
+  Session session;
+};
 
 constexpr const char* kListDoc =
     "<list><item>a</item><item>b</item><item>c</item>"
@@ -20,15 +40,13 @@ constexpr const char* kListDoc =
 
 class PositionalTest : public ::testing::Test {
  protected:
-  void SetUp() override { doc_ = LoadDocument(kListDoc).value(); }
-
   std::vector<std::string> Texts(const NodeSequence& nodes) {
+    const DocTable& doc = db_.db->doc();
     std::vector<std::string> out;
     for (NodeId v : nodes) {
-      for (NodeId u = v + 1; u < doc_->size() && doc_->IsDescendant(u, v);
-           ++u) {
-        if (doc_->kind(u) == NodeKind::kText) {
-          out.emplace_back(doc_->value(u));
+      for (NodeId u = v + 1; u < doc.size() && doc.IsDescendant(u, v); ++u) {
+        if (doc.kind(u) == NodeKind::kText) {
+          out.emplace_back(doc.value(u));
           break;
         }
       }
@@ -36,14 +54,9 @@ class PositionalTest : public ::testing::Test {
     return out;
   }
 
-  NodeSequence Eval(const std::string& q) {
-    Evaluator ev(*doc_);
-    auto r = ev.EvaluateString(q);
-    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
-    return r.ok() ? r.value() : NodeSequence{};
-  }
+  NodeSequence Eval(const std::string& q) { return db_.Run(q); }
 
-  std::unique_ptr<DocTable> doc_;
+  Db db_{LoadDocument(kListDoc).value()};
 };
 
 TEST_F(PositionalTest, ChildPosition) {
@@ -69,18 +82,15 @@ TEST_F(PositionalTest, PositionIsPerContextNode) {
 
 TEST_F(PositionalTest, ReverseAxisCountsOutward) {
   // ancestor::*[1] of the nested items is the nearest ancestor (group).
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
-  NodeSequence nested = ev.EvaluateString("/child::group/child::item").value();
+  const DocTable& doc = db_.db->doc();
+  NodeSequence nested = Eval("/child::group/child::item");
   ASSERT_EQ(nested.size(), 2u);
-  LocationPath first_anc = ParseXPath("ancestor::*[1]").value();
-  NodeSequence r = ev.Evaluate(first_anc, {nested[0]}).value();
+  NodeSequence r = db_.Run("ancestor::*[1]", NodeSequence{nested[0]});
   ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(doc->tags().Name(doc->tag(r[0])), "group");
-  LocationPath second_anc = ParseXPath("ancestor::*[2]").value();
-  r = ev.Evaluate(second_anc, {nested[0]}).value();
+  EXPECT_EQ(doc.tags().Name(doc.tag(r[0])), "group");
+  r = db_.Run("ancestor::*[2]", NodeSequence{nested[0]});
   ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(doc->tags().Name(doc->tag(r[0])), "list");
+  EXPECT_EQ(doc.tags().Name(doc.tag(r[0])), "list");
 }
 
 TEST_F(PositionalTest, PositionalCombinesWithExists) {
@@ -107,29 +117,31 @@ TEST_F(PositionalTest, ToStringRoundTrip) {
 }
 
 TEST(UnionTest, MergesBranchesInDocumentOrder) {
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
-  NodeSequence u =
-      ev.EvaluateUnionString("/child::group | /child::item").value();
+  Db db(LoadDocument(kListDoc).value());
+  const DocTable& doc = db.db->doc();
+  NodeSequence u = db.Run("/child::group | /child::item");
   // items (pre 1,3,5) come before group (pre 7) in document order.
   ASSERT_EQ(u.size(), 4u);
   EXPECT_TRUE(IsDocumentOrder(u));
-  EXPECT_EQ(doc->tags().Name(doc->tag(u[3])), "group");
+  EXPECT_EQ(doc.tags().Name(doc.tag(u[3])), "group");
 }
 
 TEST(UnionTest, DeduplicatesOverlappingBranches) {
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
-  NodeSequence a = ev.EvaluateUnionString("//item | //item").value();
-  NodeSequence b = ev.EvaluateString("//item").value();
+  Db db(LoadDocument(kListDoc).value());
+  NodeSequence a = db.Run("//item | //item");
+  NodeSequence b = db.Run("//item");
   EXPECT_EQ(a, b);
 }
 
 TEST(UnionTest, SingleBranchEqualsPlainPath) {
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
-  EXPECT_EQ(ev.EvaluateUnionString("/descendant::item").value(),
-            ev.EvaluateString("/descendant::item").value());
+  // A one-branch union parses to exactly the plain path, so the two
+  // evaluate identically; and the evaluation finds all five items.
+  const UnionExpr u = ParseXPathUnion("/descendant::item").value();
+  ASSERT_EQ(u.branches.size(), 1u);
+  EXPECT_EQ(ToString(u.branches[0]),
+            ToString(ParseXPath("/descendant::item").value()));
+  Db db(LoadDocument(kListDoc).value());
+  EXPECT_EQ(db.Run("/descendant::item").size(), 5u);
 }
 
 TEST(UnionTest, ParseErrors) {
@@ -139,35 +151,31 @@ TEST(UnionTest, ParseErrors) {
 }
 
 TEST(UnionTest, ExplainCoversEveryBranch) {
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
-  ASSERT_TRUE(
-      ev.EvaluateUnionString("/child::group/child::item | /child::item").ok());
+  Db db(LoadDocument(kListDoc).value());
+  auto r = db.session.Run("/child::group/child::item | /child::item");
+  ASSERT_TRUE(r.ok()) << r.status();
   // Two steps from the first branch + one from the second: clearing the
   // trace per branch used to leave only the final branch visible.
-  ASSERT_EQ(ev.last_trace().size(), 3u);
-  EXPECT_NE(ev.last_trace()[0].description.find("group"), std::string::npos);
-  EXPECT_NE(ev.ExplainLastQuery().find("step 3"), std::string::npos);
-  // A following plain Evaluate starts a fresh trace again.
-  ASSERT_TRUE(ev.EvaluateString("/child::item").ok());
-  EXPECT_EQ(ev.last_trace().size(), 1u);
+  ASSERT_EQ(r.value().trace.size(), 3u);
+  EXPECT_NE(r.value().trace[0].description.find("group"), std::string::npos);
+  EXPECT_NE(r.value().Explain().find("step 3"), std::string::npos);
+  // A following plain run starts a fresh trace again.
+  auto single = db.session.Run("/child::item");
+  ASSERT_TRUE(single.ok()) << single.status();
+  EXPECT_EQ(single.value().trace.size(), 1u);
 }
 
 TEST(PredicateTest, AbsolutePredicatePathsAreContextInvariant) {
-  auto doc = LoadDocument(kListDoc).value();
-  Evaluator ev(*doc);
+  Db db(LoadDocument(kListDoc).value());
   // The verdict comes from the document root, not the context node: all
   // nodes survive a true absolute predicate, none survive a false one
   // (evaluated once per step, reused for every context node).
-  EXPECT_EQ(ev.EvaluateString("//item[/child::group]").value(),
-            ev.EvaluateString("//item").value());
-  EXPECT_TRUE(ev.EvaluateString("//item[/child::nope]").value().empty());
+  EXPECT_EQ(db.Run("//item[/child::group]"), db.Run("//item"));
+  EXPECT_TRUE(db.Run("//item[/child::nope]").empty());
   // Same on the positional (per-context) fallback path.
-  Evaluator ev2(*doc);
-  EXPECT_EQ(ev2.EvaluateString("/child::item[2][/child::group]").value(),
-            ev2.EvaluateString("/child::item[2]").value());
-  EXPECT_TRUE(
-      ev2.EvaluateString("/child::item[2][/child::nope]").value().empty());
+  EXPECT_EQ(db.Run("/child::item[2][/child::group]"),
+            db.Run("/child::item[2]"));
+  EXPECT_TRUE(db.Run("/child::item[2][/child::nope]").empty());
 }
 
 // --- Collections (paper footnote 1) -----------------------------------------
@@ -185,26 +193,26 @@ TEST(CollectionTest, GathersDocumentsUnderVirtualRoot) {
   EXPECT_EQ(doc->level(roots[0]), 1u);
 
   // Queries span all documents.
-  Evaluator ev(*doc);
-  EXPECT_EQ(ev.EvaluateString("/descendant::b").value().size(), 3u);
-  EXPECT_EQ(ev.EvaluateString("/child::a").value().size(), 2u);
+  Db db(std::move(doc));
+  EXPECT_EQ(db.Run("/descendant::b").size(), 3u);
+  EXPECT_EQ(db.Run("/child::a").size(), 2u);
 }
 
 TEST(CollectionTest, DocumentOfAttributesResults) {
   CollectionBuilder builder;
   ASSERT_TRUE(builder.AddDocumentText("<a><b/></a>").ok());
   ASSERT_TRUE(builder.AddDocumentText("<a><b x=\"1\"/></a>").ok());
-  auto doc = builder.Finish().value();
   NodeSequence roots = builder.document_roots();
+  Db db(builder.Finish().value());
+  const DocTable& doc = db.db->doc();
 
-  Evaluator ev(*doc);
-  NodeSequence bs = ev.EvaluateString("/descendant::b").value();
+  NodeSequence bs = db.Run("/descendant::b");
   ASSERT_EQ(bs.size(), 2u);
-  EXPECT_EQ(DocumentOf(roots, *doc, bs[0]), 0u);
-  EXPECT_EQ(DocumentOf(roots, *doc, bs[1]), 1u);
-  EXPECT_EQ(DocumentOf(roots, *doc, roots[1]), 1u);
+  EXPECT_EQ(DocumentOf(roots, doc, bs[0]), 0u);
+  EXPECT_EQ(DocumentOf(roots, doc, bs[1]), 1u);
+  EXPECT_EQ(DocumentOf(roots, doc, roots[1]), 1u);
   // The virtual root belongs to no document.
-  EXPECT_EQ(DocumentOf(roots, *doc, doc->root()), roots.size());
+  EXPECT_EQ(DocumentOf(roots, doc, doc.root()), roots.size());
 }
 
 TEST(CollectionTest, MixesParsedAndGeneratedDocuments) {
@@ -219,11 +227,11 @@ TEST(CollectionTest, MixesParsedAndGeneratedDocuments) {
                   .ok());
   auto doc = builder.Finish().value();
   EXPECT_EQ(builder.document_roots().size(), 2u);
-  Evaluator ev(*doc);
+  Db db(std::move(doc));
   // Both site elements, one per document.
-  EXPECT_EQ(ev.EvaluateString("/child::site").value().size(), 2u);
+  EXPECT_EQ(db.Run("/child::site").size(), 2u);
   // The XMark content is reachable through the virtual root.
-  EXPECT_GT(ev.EvaluateString("/descendant::bidder").value().size(), 0u);
+  EXPECT_GT(db.Run("/descendant::bidder").size(), 0u);
 }
 
 TEST(CollectionTest, Errors) {
