@@ -15,7 +15,7 @@
 #include "bench_util.h"
 #include "core/fragment_impl.h"
 #include "core/staircase_impl.h"
-#include "storage/paged_tags.h"
+#include "storage/image_cursor.h"
 
 namespace sj::bench {
 namespace {
@@ -162,8 +162,12 @@ void Run() {
 
     // The IO-conscious rerun: same Q1, columns behind the buffer pool.
     SimulatedDisk disk;
-    auto paged = PagedDocTable::Create(*w.doc, &disk).value();
-    auto tags = PagedTagIndex::Create(*w.doc, &disk).value();
+    const uint64_t digest = storage::DocColumnsDigest(*w.doc);
+    auto paged = PagedDocTable::Create(*w.doc, &disk, digest).value();
+    auto tags = PagedTagIndex::Create(
+                    *w.doc, *w.index, &disk,
+                    storage::FragmentColumnsDigest(*w.doc, digest))
+                    .value();
     BufferPool pool(&disk, 64);
 
     double paged_full_ms = ColdBestOfMillis(

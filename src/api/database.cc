@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -36,6 +37,66 @@ Result<std::string> ReadFileText(const std::filesystem::path& path) {
   return std::move(buffer).str();
 }
 
+/// Builds the missing images of one column format (`build`) and checks
+/// whatever images of it are present against THIS document: a stale
+/// image (rebuilt document, image of a different document) is rejected
+/// here with the failing column set named -- not lazily on the first
+/// query. Adopted images are also re-read through the format's own check
+/// (block images: every encoded byte, so bit rot never surfaces as a
+/// silent wrong result); images built in this very call are coherent by
+/// construction and skip that pass. `name` is the backend's name in the
+/// Status texts; `index` is needed only when building.
+template <typename Format>
+Status BuildImagePair(storage::ImagePair<Format>* pair, bool build,
+                      const char* name, const DocTable& doc,
+                      const TagIndex* index, storage::SimulatedDisk* disk,
+                      uint64_t doc_digest, uint64_t frag_digest) {
+  const std::string backend = name;
+  if (build) {
+    SJ_ASSIGN_OR_RETURN(pair->doc, storage::DocImage<Format>::Create(
+                                       doc, disk, doc_digest));
+    SJ_ASSIGN_OR_RETURN(pair->tags, storage::TagImage<Format>::Create(
+                                        doc, *index, disk, frag_digest));
+  }
+  if (pair->doc != nullptr) {
+    if (disk == nullptr) {
+      return Status::InvalidArgument(
+          backend + " document image adopted without its disk");
+    }
+    if (pair->doc->size() != doc.size() ||
+        pair->doc->source_digest() != doc_digest) {
+      return Status::InvalidArgument(
+          "stale " + backend +
+          " image: the document column set "
+          "(post/kind/level/parent/tag) has digest " +
+          std::to_string(pair->doc->source_digest()) +
+          " but this document's columns digest to " +
+          std::to_string(doc_digest) + "; the " + backend +
+          " table does not image this document");
+    }
+    if (!build) SJ_RETURN_NOT_OK(pair->doc->ValidateImage(*disk));
+  }
+  if (pair->tags != nullptr) {
+    if (pair->doc == nullptr) {
+      return Status::InvalidArgument(backend +
+                                     " tag fragments adopted without a " +
+                                     backend + " document image");
+    }
+    if (pair->tags->source_digest() != frag_digest) {
+      return Status::InvalidArgument(
+          "stale " + backend +
+          " image: the tag fragment column set (per-tag "
+          "pre/post) has digest " +
+          std::to_string(pair->tags->source_digest()) +
+          " but this document's fragments digest to " +
+          std::to_string(frag_digest) + "; the " + backend +
+          " tag index does not image this document");
+    }
+    if (!build) SJ_RETURN_NOT_OK(pair->tags->ValidateImage(*disk));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
@@ -45,152 +106,39 @@ Result<std::shared_ptr<const DatabaseImages>> Database::BuildImages(
   if (build_missing && options.build_tag_index && img->tag_index == nullptr) {
     img->tag_index = std::make_unique<TagIndex>(doc);
   }
-  if (build_missing && options.build_paged && img->paged_doc == nullptr) {
-    if (img->disk == nullptr) {
+  const bool build_paged =
+      build_missing && options.build_paged && img->paged.doc == nullptr;
+  const bool build_compressed = build_missing && options.build_compressed &&
+                                img->compressed.doc == nullptr;
+  const bool pooled = build_paged || build_compressed ||
+                      img->paged.doc != nullptr || img->paged.tags != nullptr ||
+                      img->compressed.doc != nullptr ||
+                      img->compressed.tags != nullptr;
+  if (pooled) {
+    // Every pool-backed image images the same columns: one digest pass
+    // and one projection serve them all. The images of both formats share
+    // one disk (one pool serves every pool-backed backend).
+    if ((build_paged || build_compressed) && img->disk == nullptr) {
       img->disk = std::make_unique<storage::SimulatedDisk>();
     }
-    SJ_ASSIGN_OR_RETURN(img->paged_doc,
-                        storage::PagedDocTable::Create(doc, img->disk.get()));
-    SJ_ASSIGN_OR_RETURN(img->paged_tags,
-                        storage::PagedTagIndex::Create(doc, img->disk.get()));
-    // Create captured both digests from this very document: adopt them
-    // (coherent by construction) instead of paying a second O(doc)
-    // digest pass only to compare guaranteed-equal values.
-    img->doc_digest = img->paged_doc->source_digest();
-    img->frag_digest = img->paged_tags->source_digest();
-  }
-  bool compressed_built_here = false;
-  if (build_missing && options.build_compressed &&
-      img->compressed_doc == nullptr) {
-    // The compressed image shares the paged image's disk (one pool
-    // serves every pool-backed backend); a compressed-only database
-    // still needs a disk of its own.
-    if (img->disk == nullptr) {
-      img->disk = std::make_unique<storage::SimulatedDisk>();
+    img->doc_digest = storage::DocColumnsDigest(doc);
+    const uint64_t frag_digest =
+        storage::FragmentColumnsDigest(doc, *img->doc_digest);
+    std::unique_ptr<TagIndex> transient;
+    const TagIndex* index = img->tag_index.get();
+    if (index == nullptr && (build_paged || build_compressed)) {
+      transient = std::make_unique<TagIndex>(doc);
+      index = transient.get();
     }
-    SJ_ASSIGN_OR_RETURN(
-        img->compressed_doc,
-        storage::CompressedDocTable::Create(doc, img->disk.get()));
-    // Reuse the resident TagIndex when it exists; encoding should not
-    // pay a second projection scan of the whole document.
-    if (img->tag_index != nullptr) {
-      SJ_ASSIGN_OR_RETURN(img->compressed_tags,
-                          storage::CompressedTagIndex::Create(
-                              doc, *img->tag_index, img->disk.get()));
-    } else {
-      SJ_ASSIGN_OR_RETURN(
-          img->compressed_tags,
-          storage::CompressedTagIndex::Create(doc, img->disk.get()));
-    }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = img->compressed_doc->source_digest();
-    }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest = img->compressed_tags->source_digest();
-    }
-    compressed_built_here = true;
+    SJ_RETURN_NOT_OK(BuildImagePair(&img->paged, build_paged, "paged", doc,
+                                    index, img->disk.get(), *img->doc_digest,
+                                    frag_digest));
+    SJ_RETURN_NOT_OK(BuildImagePair(&img->compressed, build_compressed,
+                                    "compressed", doc, index, img->disk.get(),
+                                    *img->doc_digest, frag_digest));
   }
 
-  // Open-time coherence validation for *adopted* images: every paged
-  // image must carry the digest of THIS document's columns. A stale
-  // image (rebuilt document, image of a different document) is rejected
-  // here with the failing column set named -- not lazily on the first
-  // paged query. The digests are computed exactly once per image set,
-  // so neither session creation nor the first query repeats the pass.
-  if (img->paged_doc != nullptr) {
-    if (img->disk == nullptr) {
-      return Status::InvalidArgument(
-          "paged document image adopted without its disk");
-    }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = storage::DocColumnsDigest(doc);
-    }
-    if (img->paged_doc->size() != doc.size() ||
-        img->paged_doc->source_digest() != *img->doc_digest) {
-      return Status::InvalidArgument(
-          "stale paged image: the document column set "
-          "(post/kind/level/parent/tag) has digest " +
-          std::to_string(img->paged_doc->source_digest()) +
-          " but this document's columns digest to " +
-          std::to_string(*img->doc_digest) +
-          "; the paged table does not image this document");
-    }
-  }
-  if (img->paged_tags != nullptr) {
-    if (img->paged_doc == nullptr) {
-      return Status::InvalidArgument(
-          "paged tag fragments adopted without a paged document image");
-    }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest =
-          storage::FragmentColumnsDigest(doc, *img->doc_digest);
-    }
-    if (img->paged_tags->source_digest() != *img->frag_digest) {
-      return Status::InvalidArgument(
-          "stale paged image: the tag fragment column set (per-tag "
-          "pre/post) has digest " +
-          std::to_string(img->paged_tags->source_digest()) +
-          " but this document's fragments digest to " +
-          std::to_string(*img->frag_digest) +
-          "; the paged tag index does not image this document");
-    }
-  }
-
-  // Open-time validation of the compressed images: coherence with THIS
-  // document via the source digests (like the paged images above), plus
-  // integrity of the encoded blocks themselves -- ValidateImage re-reads
-  // the disk image and rejects a corrupt or stale block with a Status
-  // naming the column, so bit rot never surfaces as silent wrong query
-  // results. Images built in this very call are coherent by
-  // construction (the digests were captured from the bytes Create just
-  // wrote), so only ADOPTED images pay the re-read pass.
-  if (img->compressed_doc != nullptr) {
-    if (img->disk == nullptr) {
-      return Status::InvalidArgument(
-          "compressed document image adopted without its disk");
-    }
-    if (!img->doc_digest.has_value()) {
-      img->doc_digest = storage::DocColumnsDigest(doc);
-    }
-    if (img->compressed_doc->size() != doc.size() ||
-        img->compressed_doc->source_digest() != *img->doc_digest) {
-      return Status::InvalidArgument(
-          "stale compressed image: the document column set "
-          "(post/kind/level/parent/tag) has digest " +
-          std::to_string(img->compressed_doc->source_digest()) +
-          " but this document's columns digest to " +
-          std::to_string(*img->doc_digest) +
-          "; the compressed table does not image this document");
-    }
-    if (!compressed_built_here) {
-      SJ_RETURN_NOT_OK(img->compressed_doc->ValidateImage(*img->disk));
-    }
-  }
-  if (img->compressed_tags != nullptr) {
-    if (img->compressed_doc == nullptr) {
-      return Status::InvalidArgument(
-          "compressed tag fragments adopted without a compressed document "
-          "image");
-    }
-    if (!img->frag_digest.has_value()) {
-      img->frag_digest =
-          storage::FragmentColumnsDigest(doc, *img->doc_digest);
-    }
-    if (img->compressed_tags->source_digest() != *img->frag_digest) {
-      return Status::InvalidArgument(
-          "stale compressed image: the tag fragment column set (per-tag "
-          "pre/post) has digest " +
-          std::to_string(img->compressed_tags->source_digest()) +
-          " but this document's fragments digest to " +
-          std::to_string(*img->frag_digest) +
-          "; the compressed tag index does not image this document");
-    }
-    if (!compressed_built_here) {
-      SJ_RETURN_NOT_OK(img->compressed_tags->ValidateImage(*img->disk));
-    }
-  }
-
-  if (img->paged_doc != nullptr || img->compressed_doc != nullptr) {
+  if (img->paged.doc != nullptr || img->compressed.doc != nullptr) {
     size_t shards = options.pool_shards > 0 ? options.pool_shards
                                             : DefaultPoolShards();
     img->pool = std::make_unique<storage::BufferPool>(
@@ -292,24 +240,8 @@ Result<std::unique_ptr<Database>> Database::FromTable(
 
 Result<std::unique_ptr<Database>> Database::FromParts(
     std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
-    std::unique_ptr<storage::SimulatedDisk> disk,
-    std::unique_ptr<storage::PagedDocTable> paged_doc,
-    std::unique_ptr<storage::PagedTagIndex> paged_tags,
-    DatabaseOptions options) {
-  return FromParts(std::move(doc), std::move(tag_index), std::move(disk),
-                   std::move(paged_doc), std::move(paged_tags),
-                   /*compressed_doc=*/nullptr, /*compressed_tags=*/nullptr,
-                   std::move(options));
-}
-
-Result<std::unique_ptr<Database>> Database::FromParts(
-    std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
-    std::unique_ptr<storage::SimulatedDisk> disk,
-    std::unique_ptr<storage::PagedDocTable> paged_doc,
-    std::unique_ptr<storage::PagedTagIndex> paged_tags,
-    std::unique_ptr<storage::CompressedDocTable> compressed_doc,
-    std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
-    DatabaseOptions options) {
+    std::unique_ptr<storage::SimulatedDisk> disk, storage::PagedImages paged,
+    storage::CompressedImages compressed, DatabaseOptions options) {
   if (doc == nullptr) {
     return Status::InvalidArgument("Database::FromParts: null table");
   }
@@ -317,10 +249,8 @@ Result<std::unique_ptr<Database>> Database::FromParts(
   images->doc = std::move(doc);
   images->tag_index = std::move(tag_index);
   images->disk = std::move(disk);
-  images->paged_doc = std::move(paged_doc);
-  images->paged_tags = std::move(paged_tags);
-  images->compressed_doc = std::move(compressed_doc);
-  images->compressed_tags = std::move(compressed_tags);
+  images->paged = std::move(paged);
+  images->compressed = std::move(compressed);
   return Finish(std::move(images), std::move(options),
                 /*build_missing=*/false, {});
 }

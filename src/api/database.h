@@ -4,11 +4,11 @@
 //
 // Opening a database builds (or adopts) the resident DocTable, the
 // resident tag fragments (TagIndex), and -- unless disabled -- the paged
-// image (SimulatedDisk + PagedDocTable + PagedTagIndex) behind one
-// sharded BufferPool. The column/fragment digests are validated HERE, at
-// open time: a stale or mismatched paged image is rejected with a Status
-// naming the failing column set, instead of surfacing lazily on some
-// thread's first paged query.
+// and compressed images (one doc + tag image pair per column format,
+// storage/image.h) on one SimulatedDisk behind one sharded BufferPool.
+// The column/fragment digests are validated HERE, at open time: a stale
+// or mismatched image is rejected with a Status naming the failing
+// column set, instead of surfacing lazily on some thread's first query.
 //
 // The images themselves stay immutable forever; what varies is WHICH
 // images-plus-overlay a query sees. The database publishes epoch-stamped
@@ -35,10 +35,7 @@
 #include "encoding/builder.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
-#include "storage/compressed_doc.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
+#include "storage/image.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 #include "xmlgen/xmark.h"
@@ -174,34 +171,20 @@ class Database {
       std::unique_ptr<DocTable> doc, DatabaseOptions options = {});
 
   /// Adopts externally built backend images instead of paging `doc` out
-  /// afresh. This is where image coherence is enforced: the paged doc
-  /// columns and paged tag fragments are digest-checked against `doc`
-  /// and a mismatch is rejected with a Status naming the failing column
-  /// set -- at open time, not on the first paged query. `tag_index`,
-  /// `paged_doc` and `paged_tags` may be null (the corresponding
-  /// features are then unavailable); `paged_doc` requires `disk`.
+  /// afresh. This is where image coherence is enforced: every paged and
+  /// compressed image is digest-checked against `doc`, and the encoded
+  /// blocks of compressed images are re-read and verified against their
+  /// image digests, so a stale image or a corrupt (bit-flipped) block is
+  /// rejected with a Status naming the failing column set -- at open
+  /// time, never served to a query. `tag_index` and any image may be
+  /// null (the corresponding features are then unavailable); a document
+  /// image requires `disk`, a tag image its format's document image.
   /// `options.build`/`build_*`/pool sizing apply to the pool only.
   static Result<std::unique_ptr<Database>> FromParts(
       std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
       std::unique_ptr<storage::SimulatedDisk> disk,
-      std::unique_ptr<storage::PagedDocTable> paged_doc,
-      std::unique_ptr<storage::PagedTagIndex> paged_tags,
+      storage::PagedImages paged, storage::CompressedImages compressed = {},
       DatabaseOptions options = {});
-
-  /// Same, additionally adopting compressed images. The compressed doc
-  /// columns and fragments are digest-checked against `doc` AND their
-  /// on-disk encoded blocks are re-read and verified against the image
-  /// digests, so a corrupt (bit-flipped) or stale compressed block is
-  /// rejected here with a Status naming the column -- never served to a
-  /// query. `compressed_doc` requires `disk`.
-  static Result<std::unique_ptr<Database>> FromParts(
-      std::unique_ptr<DocTable> doc, std::unique_ptr<TagIndex> tag_index,
-      std::unique_ptr<storage::SimulatedDisk> disk,
-      std::unique_ptr<storage::PagedDocTable> paged_doc,
-      std::unique_ptr<storage::PagedTagIndex> paged_tags,
-      std::unique_ptr<storage::CompressedDocTable> compressed_doc,
-      std::unique_ptr<storage::CompressedTagIndex> compressed_tags,
-      DatabaseOptions options);
 
   /// Creates a query session. Cheap (no digest passes, no allocation
   /// beyond the evaluator); fails when the options name a backend the
@@ -236,11 +219,11 @@ class Database {
 
   /// True when sessions may choose StorageBackend::kPaged.
   bool has_paged_backend() const {
-    return CurrentSnapshot()->images().paged_doc != nullptr;
+    return CurrentSnapshot()->images().paged.doc != nullptr;
   }
   /// True when sessions may choose StorageBackend::kCompressed.
   bool has_compressed_backend() const {
-    return CurrentSnapshot()->images().compressed_doc != nullptr;
+    return CurrentSnapshot()->images().compressed.doc != nullptr;
   }
 
   /// Resident tag fragments; null when disabled at open time. Borrowed
@@ -250,19 +233,19 @@ class Database {
   }
   /// Paged doc columns; null without a paged image.
   const storage::PagedDocTable* paged_doc() const {
-    return CurrentSnapshot()->images().paged_doc.get();
+    return CurrentSnapshot()->images().paged.doc.get();
   }
   /// Paged tag fragments; null without a paged image.
   const storage::PagedTagIndex* paged_tags() const {
-    return CurrentSnapshot()->images().paged_tags.get();
+    return CurrentSnapshot()->images().paged.tags.get();
   }
   /// Compressed doc columns; null without a compressed image.
   const storage::CompressedDocTable* compressed_doc() const {
-    return CurrentSnapshot()->images().compressed_doc.get();
+    return CurrentSnapshot()->images().compressed.doc.get();
   }
   /// Compressed tag fragments; null without a compressed image.
   const storage::CompressedTagIndex* compressed_tags() const {
-    return CurrentSnapshot()->images().compressed_tags.get();
+    return CurrentSnapshot()->images().compressed.tags.get();
   }
   /// The shared buffer pool (internally synchronized); null without a
   /// paged image. Exposed for experiment control (cold starts, fault

@@ -29,10 +29,7 @@
 #include "encoding/builder.h"
 #include "encoding/doc_table.h"
 #include "storage/buffer_pool.h"
-#include "storage/compressed_doc.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_doc.h"
-#include "storage/paged_tags.h"
+#include "storage/image.h"
 #include "util/result.h"
 #include "xpath/cost_model.h"
 
@@ -45,14 +42,13 @@ struct DatabaseImages {
   std::unique_ptr<DocTable> doc;
   std::unique_ptr<TagIndex> tag_index;
   std::unique_ptr<storage::SimulatedDisk> disk;
-  std::unique_ptr<storage::PagedDocTable> paged_doc;
-  std::unique_ptr<storage::PagedTagIndex> paged_tags;
-  std::unique_ptr<storage::CompressedDocTable> compressed_doc;
-  std::unique_ptr<storage::CompressedTagIndex> compressed_tags;
+  /// One doc + tag image pair per column format (storage/image.h).
+  storage::PagedImages paged;
+  storage::CompressedImages compressed;
   /// Internally synchronized; shared by every session on these images.
   std::unique_ptr<storage::BufferPool> pool;
+  /// DocColumnsDigest of `doc`; set iff a pool-backed image exists.
   std::optional<uint64_t> doc_digest;
-  std::optional<uint64_t> frag_digest;
   /// Planner statistics of `doc` (level histogram, per-tag counts and
   /// level spreads), collected in one O(doc) pass at image-build time.
   /// Shared read-only by every session; rebuilt by compaction together

@@ -11,8 +11,9 @@
 //   * MemoryFragmentCursor (below) reads the TagView vectors directly;
 //     every method inlines to an array access or a std::lower_bound, so
 //     the instantiated join compiles to the historical in-memory loops;
-//   * storage::PagedFragmentCursor reads per-fragment pre/post column
-//     pages through a BufferPool, so pushdown turns "nodes never
+//   * storage::ImageFragmentCursor (storage/image_cursor.h) reads
+//     per-fragment pre/post columns through a BufferPool, in either
+//     column format (storage/column.h), so pushdown turns "nodes never
 //     touched" into fragment pages never read.
 //
 // Contract: reads are valid for slots in [0, size()); LowerBound(pre)

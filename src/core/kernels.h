@@ -3,7 +3,7 @@
 //
 // This header is internal to the library: the stable entry points are
 // StaircaseJoin (core/staircase_join.h), ParallelStaircaseJoin
-// (core/parallel.h) and their paged twins (storage/paged_doc.h). The
+// (core/parallel.h) and the join entry points of core/staircase_impl.h. The
 // kernels are exposed here so that the join drivers, the parallel workers
 // and the micro benchmarks all instantiate exactly the same loops.
 

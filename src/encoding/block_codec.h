@@ -23,7 +23,7 @@
 // value count and base) and never span storage pages, so a reader can
 // decode any block after one page read. The codec is deliberately
 // checksum-free: whole-image integrity is the job of the column digests
-// (storage/compressed_doc.h), which cover the encoded bytes.
+// (storage/column.h), which cover the encoded bytes.
 
 #ifndef STAIRJOIN_ENCODING_BLOCK_CODEC_H_
 #define STAIRJOIN_ENCODING_BLOCK_CODEC_H_

@@ -7,8 +7,10 @@
 // fragment cursor feed it, and Visit below is where that is decided: an
 // exhaustive switch over StorageBackend with no default case, so a new
 // backend that misses it is a -Wswitch warning at compile time instead
-// of a silent fall-through to the memory path. Adding a backend means
-// one accessor, one fragment cursor and one `case`.
+// of a silent fall-through to the memory path. The two pool-backed
+// backends differ only in their column format (storage/column.h), so
+// their arms are one call each into the same format-generic helpers;
+// adding a format means one column cursor and one `case`.
 //
 // This file is the only place allowed to compare or switch on
 // StorageBackend: sj-lint (tools/lint/sj_lint.py, rule backend-dispatch)
@@ -17,12 +19,12 @@
 #ifndef STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 #define STAIRJOIN_XPATH_BACKEND_DISPATCH_H_
 
+#include <string>
 #include <vector>
 
 #include "core/axis_impl.h"
 #include "delta/delta_accessor.h"
-#include "storage/compressed_accessor.h"
-#include "storage/paged_accessor.h"
+#include "storage/image_cursor.h"
 #include "xpath/evaluator.h"
 #include "xpath/explain_strings.h"
 
@@ -55,16 +57,9 @@ class BackendDispatch {
       case StorageBackend::kMemory:
         return Status::OK();
       case StorageBackend::kPaged:
-        if (img.paged_doc != nullptr) return Status::OK();
-        return Status::InvalidArgument(
-            "session requests the paged backend but the database was "
-            "opened without a paged image (DatabaseOptions::build_paged)");
+        return CheckImages(img.paged, "paged");
       case StorageBackend::kCompressed:
-        if (img.compressed_doc != nullptr) return Status::OK();
-        return Status::InvalidArgument(
-            "session requests the compressed backend but the database was "
-            "opened without a compressed image "
-            "(DatabaseOptions::build_compressed)");
+        return CheckImages(img.compressed, "compressed");
     }
     return Status::Internal("unreachable");
   }
@@ -106,9 +101,9 @@ class BackendDispatch {
       case StorageBackend::kMemory:
         return img.tag_index != nullptr;
       case StorageBackend::kPaged:
-        return img.paged_tags != nullptr;
+        return img.paged.tags != nullptr;
       case StorageBackend::kCompressed:
-        return img.compressed_tags != nullptr;
+        return img.compressed.tags != nullptr;
     }
     return false;
   }
@@ -123,9 +118,9 @@ class BackendDispatch {
       case StorageBackend::kMemory:
         return img.tag_index->tag_count(tag);
       case StorageBackend::kPaged:
-        return img.paged_tags->tag_count(tag);
+        return img.paged.tags->tag_count(tag);
       case StorageBackend::kCompressed:
-        return img.compressed_tags->tag_count(tag);
+        return img.compressed.tags->tag_count(tag);
     }
     return 0;
   }
@@ -188,7 +183,6 @@ class BackendDispatch {
   template <typename R, typename Fn>
   Result<R> Visit(Fn&& fn) const {
     const DatabaseImages& img = snap_.images();
-    storage::BufferPool* pool = pool_;
     switch (opt_.backend) {
       case StorageBackend::kMemory:
         return Bind<R>(
@@ -197,27 +191,39 @@ class BackendDispatch {
               return MemoryFragmentCursor(img.tag_index->view(tag));
             });
       case StorageBackend::kPaged:
-        return Bind<R>(
-            fn,
-            [&img, pool] {
-              return storage::PagedDocAccessor(*img.paged_doc, pool);
-            },
-            [&img, pool](TagId tag) {
-              return storage::PagedFragmentCursor(
-                  img.paged_tags->fragment(tag), pool);
-            });
+        return VisitImages<R>(fn, img.paged);
       case StorageBackend::kCompressed:
-        return Bind<R>(
-            fn,
-            [&img, pool] {
-              return storage::CompressedDocAccessor(*img.compressed_doc, pool);
-            },
-            [&img, pool](TagId tag) {
-              return storage::CompressedFragmentCursor(
-                  img.compressed_tags->fragment(tag), pool);
-            });
+        return VisitImages<R>(fn, img.compressed);
     }
     return Status::Internal("unreachable");
+  }
+
+  /// Visit's pool-backed arm: the accessor and fragment-cursor factories
+  /// over one format's image pair, reading through the session's pool.
+  template <typename R, typename Fn, typename Format>
+  Result<R> VisitImages(Fn& fn,
+                        const storage::ImagePair<Format>& images) const {
+    storage::BufferPool* pool = pool_;
+    return Bind<R>(
+        fn,
+        [&images, pool] {
+          return storage::ImageDocAccessor<Format>(*images.doc, pool);
+        },
+        [&images, pool](TagId tag) {
+          return storage::ImageFragmentCursor<Format>(
+              images.tags->fragment(tag), pool);
+        });
+  }
+
+  /// CheckOpened's pool-backed arm; `name` is the backend's name.
+  template <typename Format>
+  static Status CheckImages(const storage::ImagePair<Format>& images,
+                            const std::string& name) {
+    if (images.doc != nullptr) return Status::OK();
+    return Status::InvalidArgument(
+        "session requests the " + name + " backend but the database was " +
+        "opened without a " + name + " image (DatabaseOptions::build_" +
+        name + ")");
   }
 
   /// Hands `fn` the pristine factories, or their delta-merging wrappers

@@ -16,7 +16,7 @@
 //     pass at Database open (api/database.cc BuildImages).
 //
 // Costs are expressed in estimated page-fault equivalents of the paged
-// image layout (storage/paged_doc.h: u32 columns pack kCostRanksPerPage
+// image layout (storage/column.h: u32 columns pack kCostRanksPerPage
 // ranks per page, byte columns pack kCostBytesPerPage), scaled by a
 // per-backend unit -- resident reads are cheap relative to the
 // per-context probe work, compressed pages amortize more ranks, paged
@@ -72,7 +72,7 @@ struct DocStatistics {
   static DocStatistics Collect(const DocTable& doc);
 };
 
-/// Page math of the paged image layout (storage/paged_doc.h): u32
+/// Page math of the paged image layout (storage/column.h): u32
 /// columns (post/parent/tag, fragment pre/post) pack this many ranks per
 /// page; byte columns (kind/level) pack kCostBytesPerPage.
 inline constexpr uint64_t kCostRanksPerPage = 2048;

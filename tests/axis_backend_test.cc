@@ -16,10 +16,7 @@
 #include "baselines/naive.h"
 #include "bat/operators.h"
 #include "core/axis_impl.h"
-#include "storage/compressed_accessor.h"
-#include "storage/compressed_doc.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
+#include "storage/image_cursor.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -27,6 +24,7 @@ namespace sj::storage {
 namespace {
 
 using sj::testing::LoadPaperExample;
+using sj::testing::MakeDocImage;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
 using sj::testing::RandomDocument;
@@ -125,8 +123,8 @@ TEST_P(AxisBackendEquivalenceTest, CursorStepsAreByteIdenticalAcrossBackends) {
     if (doc->size() < 500) continue;
     ++exercised;
     SimulatedDisk disk;
-    auto paged = PagedDocTable::Create(*doc, &disk).value();
-    auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+    auto paged = MakeDocImage<RawFormat>(*doc, &disk);
+    auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
     BufferPool pool(&disk, 16);
     auto mem = [&] { return MemoryDocAccessor(*doc); };
     auto io = [&] { return PagedDocAccessor(*paged, &pool); };
@@ -191,7 +189,7 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
   auto doc = LoadDocument(xml).value();
   ASSERT_GT(doc->size(), 2u * static_cast<unsigned>(depth));
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 8);
   // Context: every chain node plus every third leaf (ancestor-nested by
   // construction).
@@ -200,7 +198,7 @@ TEST(AxisCursorTest, DeepChainsStressTheFrameMerge) {
     ctx.push_back(v);
   }
   ctx = bat::SortUnique(std::move(ctx));
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
   for (Axis axis : kCursorAxes) {
     auto expected = NaiveAxisStep(*doc, ctx, axis);
     ASSERT_TRUE(expected.ok());
@@ -285,7 +283,7 @@ TEST(PagedAxisCursorTest, ColdPoolStepsChargeFaults) {
                                 .attribute_percent = 40});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   Rng rng(9);
   NodeSequence ctx = RandomContext(rng, *doc, 10);
   std::optional<TagId> t0 = doc->tags().Lookup("t0");
@@ -310,8 +308,8 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
                                 .attribute_percent = 40});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
+  auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
   Rng rng(9);
   NodeSequence ctx = RandomContext(rng, *doc, 10);
   std::optional<TagId> t0 = doc->tags().Lookup("t0");
@@ -341,13 +339,13 @@ TEST(CompressedAxisCursorTest, ColdPoolStepsChargeFaultsButFewerThanPaged) {
 TEST(PagedAxisCursorTest, SurfacesPoolExhaustion) {
   auto doc = RandomDocument(33, {.target_nodes = 500});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 1);
-  ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());  // starve the cursor
+  ASSERT_TRUE(pool.Pin(paged->kind().pages.front()).ok());  // starve the cursor
   auto r = CursorStep([&] { return PagedDocAccessor(*paged, &pool); }, {0},
                       Axis::kChild);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
+  ASSERT_TRUE(pool.Unpin(paged->kind().pages.front()).ok());
 }
 
 TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
@@ -359,7 +357,7 @@ TEST(PagedAxisCursorTest, TerminatesOnMidScanPoolExhaustion) {
   // frame cursor must clamp forward instead of spinning.
   auto doc = LoadDocument("<a><b/><b/><b/><b/><b/><b/></a>").value();
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 3);
   std::optional<TagId> b = doc->tags().Lookup("b");
   ASSERT_TRUE(b.has_value());
@@ -379,18 +377,18 @@ TEST(PagedAxisCursorTest, StaleTagColumnPagesAreRejected) {
   auto doc_c = LoadDocument("<a><c/><b/></a>").value();
   ASSERT_NE(DocColumnsDigest(*doc_b), DocColumnsDigest(*doc_c));
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_wrong = PagedDocTable::Create(*doc_c, disk.get()).value();
+  auto paged_wrong = MakeDocImage<RawFormat>(*doc_c, disk.get());
   auto spoofed = Database::FromParts(std::move(doc_b), nullptr,
                                      std::move(disk),
-                                     std::move(paged_wrong), nullptr);
+                                     {std::move(paged_wrong), nullptr});
   EXPECT_FALSE(spoofed.ok());
 
   auto doc_b2 = LoadDocument("<a><b/><b/></a>").value();
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_right = PagedDocTable::Create(*doc_b2, disk2.get()).value();
+  auto paged_right = MakeDocImage<RawFormat>(*doc_b2, disk2.get());
   auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
                                      std::move(disk2),
-                                     std::move(paged_right), nullptr);
+                                     {std::move(paged_right), nullptr});
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   SessionOptions paged_opt;
   paged_opt.backend = StorageBackend::kPaged;

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "api/database.h"
 #include "core/fragment_cursor.h"
@@ -20,14 +21,15 @@
 #include "core/staircase_join.h"
 #include "core/tag_view.h"
 #include "encoding/loader.h"
-#include "storage/compressed_tags.h"
-#include "storage/paged_tags.h"
+#include "storage/image_cursor.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace sj::storage {
 namespace {
 
+using sj::testing::MakeDocImage;
+using sj::testing::MakeTagImage;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocument;
 
@@ -94,10 +96,10 @@ TEST_P(FragmentBackendTest, BothBackendsEqualJoinThenFilter) {
   ASSERT_GT(doc->size(), 500u) << "degenerate random doc for seed " << seed;
   TagIndex index(*doc);
   SimulatedDisk disk;
-  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
-  auto compressed_doc = CompressedDocTable::Create(*doc, &disk).value();
-  auto compressed_tags = CompressedTagIndex::Create(*doc, &disk).value();
+  auto paged_doc = MakeDocImage<RawFormat>(*doc, &disk);
+  auto paged_tags = MakeTagImage<RawFormat>(*doc, &disk);
+  auto compressed_doc = MakeDocImage<BlockFormat>(*doc, &disk);
+  auto compressed_tags = MakeTagImage<BlockFormat>(*doc, &disk);
   BufferPool pool(&disk, 16);
   Rng rng(seed * 17 + 3);
 
@@ -220,8 +222,26 @@ TEST(FragmentStatsTest, StatsMatchDocKernelsOnSingleTagDocument) {
   }
 }
 
-TEST(PagedFragmentCursorTest, MultiPageLowerBoundMatchesMemory) {
-  // 5000 single-tag elements: the pre/post columns span multiple pages.
+template <typename Format>
+class ImageFragmentCursorTest : public ::testing::Test {
+ protected:
+  /// Pages (raw) or blocks (block format) of a fragment's pre column:
+  /// one fence key each.
+  static size_t Strides(const Fragment<Format>& frag) {
+    if constexpr (std::is_same_v<Format, RawFormat>) {
+      return frag.pre.pages.size();
+    } else {
+      return frag.pre.blocks.size();
+    }
+  }
+};
+TYPED_TEST_SUITE(ImageFragmentCursorTest, sj::testing::ColumnFormats,
+                 sj::testing::ColumnFormatName);
+
+TYPED_TEST(ImageFragmentCursorTest, MultiStrideLowerBoundMatchesMemory) {
+  // 5000 single-tag elements: the pre/post columns span several pages
+  // (raw) or blocks (block format), so LowerBound exercises the resident
+  // fence keys + in-stride search.
   std::string xml = "<t>";
   for (int i = 0; i < 4999; ++i) xml += "<t/>";
   xml += "</t>";
@@ -229,14 +249,16 @@ TEST(PagedFragmentCursorTest, MultiPageLowerBoundMatchesMemory) {
   TagIndex index(*doc);
   TagId t = doc->tags().Lookup("t").value();
   const TagView& view = index.view(t);
-  ASSERT_GT(view.size(), kRanksPerPage);
+  ASSERT_GT(view.size(), kPageSize / sizeof(uint32_t));
 
   SimulatedDisk disk;
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
-  ASSERT_GT(paged_tags->fragment(t).pre_pages.size(), 1u);
+  auto tags = MakeTagImage<TypeParam>(*doc, &disk);
+  const Fragment<TypeParam>& frag = tags->fragment(t);
+  ASSERT_GT(this->Strides(frag), 1u);
+  ASSERT_EQ(frag.fence_pre.size(), this->Strides(frag));
   BufferPool pool(&disk, 4);
   MemoryFragmentCursor mem(view);
-  PagedFragmentCursor io(paged_tags->fragment(t), &pool);
+  ImageFragmentCursor<TypeParam> io(frag, &pool);
   ASSERT_EQ(mem.size(), io.size());
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
@@ -250,59 +272,27 @@ TEST(PagedFragmentCursorTest, MultiPageLowerBoundMatchesMemory) {
   EXPECT_TRUE(io.ok()) << io.status();
 }
 
-TEST(CompressedFragmentCursorTest, MultiBlockLowerBoundMatchesMemory) {
-  // 5000 single-tag elements: the fragment spans multiple blocks, so
-  // LowerBound exercises the resident fence keys + in-block search.
-  std::string xml = "<t>";
-  for (int i = 0; i < 4999; ++i) xml += "<t/>";
-  xml += "</t>";
-  auto doc = LoadDocument(xml).value();
-  TagIndex index(*doc);
-  TagId t = doc->tags().Lookup("t").value();
-  const TagView& view = index.view(t);
-
-  SimulatedDisk disk;
-  auto compressed_tags = CompressedTagIndex::Create(*doc, &disk).value();
-  ASSERT_GT(compressed_tags->fragment(t).pre.blocks.size(), 1u);
-  ASSERT_EQ(compressed_tags->fragment(t).fence_pre.size(),
-            compressed_tags->fragment(t).pre.blocks.size());
-  BufferPool pool(&disk, 4);
-  MemoryFragmentCursor mem(view);
-  CompressedFragmentCursor zip(compressed_tags->fragment(t), &pool);
-  ASSERT_EQ(mem.size(), zip.size());
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    uint64_t pre = rng.Below(doc->size() + 2);
-    EXPECT_EQ(mem.LowerBound(pre), zip.LowerBound(pre)) << "pre " << pre;
-    size_t slot = rng.Below(view.size());
-    EXPECT_EQ(mem.Pre(slot), zip.Pre(slot)) << "slot " << slot;
-    EXPECT_EQ(mem.Post(slot), zip.Post(slot)) << "slot " << slot;
-    if (i % 9 == 0) zip.SkipTo(rng.Below(view.size() + 1));
-  }
-  EXPECT_TRUE(zip.ok()) << zip.status();
-}
-
-TEST(PagedFragmentCursorTest, StickyErrorOnPoolExhaustion) {
+TYPED_TEST(ImageFragmentCursorTest, StickyErrorOnPoolExhaustion) {
   auto doc = RandomDocument(51, {.target_nodes = 3000});
   SimulatedDisk disk;
-  auto paged_doc = PagedDocTable::Create(*doc, &disk).value();
-  auto paged_tags = PagedTagIndex::Create(*doc, &disk).value();
+  auto image = MakeDocImage<TypeParam>(*doc, &disk);
+  auto tags = MakeTagImage<TypeParam>(*doc, &disk);
   TagId t = doc->tags().Lookup("t0").value();
-  ASSERT_GT(paged_tags->tag_count(t), 0u);
+  ASSERT_GT(tags->tag_count(t), 0u);
   BufferPool pool(&disk, 1);
   // Starve the cursor: an outside pin occupies the single frame.
-  ASSERT_TRUE(pool.Pin(paged_doc->KindPage(0)).ok());
-  PagedFragmentCursor io(paged_tags->fragment(t), &pool);
+  ASSERT_TRUE(pool.Pin(image->kind().pages.front()).ok());
+  ImageFragmentCursor<TypeParam> io(tags->fragment(t), &pool);
   (void)io.Pre(0);
   EXPECT_FALSE(io.ok());
   EXPECT_EQ(io.LowerBound(0), io.size());  // terminates joins quickly
   // And the join surfaces the error instead of returning garbage.
-  PagedFragmentCursor join_frag(paged_tags->fragment(t), &pool);
-  PagedDocAccessor join_acc(*paged_doc, &pool);
+  ImageFragmentCursor<TypeParam> join_frag(tags->fragment(t), &pool);
+  ImageDocAccessor<TypeParam> join_acc(*image, &pool);
   auto r = internal::FragmentStaircaseJoinOver(
       join_frag, join_acc, {0}, Axis::kDescendant, {}, nullptr);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged_doc->KindPage(0)).ok());
+  ASSERT_TRUE(pool.Unpin(image->kind().pages.front()).ok());
 }
 
 /// The ISSUE's acceptance experiment: with StorageBackend::kPaged and
@@ -380,13 +370,13 @@ TEST(CompressedPushdownTest, BitFlippedFragmentBlockRejectedAtOpenTime) {
   // column, not serve the damaged fragment to a pushed-down step.
   auto doc = RandomDocument(13, {.target_nodes = 5000});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto compressed_doc = CompressedDocTable::Create(*doc, disk.get()).value();
+  auto compressed_doc = MakeDocImage<BlockFormat>(*doc, disk.get());
   auto compressed_tags =
-      CompressedTagIndex::Create(*doc, disk.get()).value();
+      MakeTagImage<BlockFormat>(*doc, disk.get());
   TagId t0 = doc->tags().Lookup("t0").value();
-  const CompressedFragment& frag = compressed_tags->fragment(t0);
+  const Fragment<BlockFormat>& frag = compressed_tags->fragment(t0);
   ASSERT_GT(frag.pre.blocks.size(), 0u);
-  const CompressedBlockRef& block = frag.pre.blocks.front();
+  const BlockRef& block = frag.pre.blocks.front();
   Page page;
   ASSERT_TRUE(disk->Read(block.page, &page).ok());
   page.bytes[block.offset + encoding::kBlockHeaderBytes / 2] ^= 0x10;
@@ -395,9 +385,9 @@ TEST(CompressedPushdownTest, BitFlippedFragmentBlockRejectedAtOpenTime) {
   DatabaseOptions open;
   open.build_paged = false;
   open.build_compressed = false;
-  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                nullptr, nullptr, std::move(compressed_doc),
-                                std::move(compressed_tags), open);
+  auto db = Database::FromParts(
+      std::move(doc), nullptr, std::move(disk), {},
+      {std::move(compressed_doc), std::move(compressed_tags)}, open);
   ASSERT_FALSE(db.ok());
   EXPECT_NE(db.status().ToString().find("corrupt compressed image"),
             std::string::npos)
@@ -415,10 +405,10 @@ TEST(PagedPushdownTest, MemoryTagIndexDoesNotBypassThePool) {
   auto doc = RandomDocument(17, {.target_nodes = 20000});
   auto index = std::make_unique<TagIndex>(*doc);
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_doc = PagedDocTable::Create(*doc, disk.get()).value();
+  auto paged_doc = MakeDocImage<RawFormat>(*doc, disk.get());
   auto db = Database::FromParts(std::move(doc), std::move(index),
-                                std::move(disk), std::move(paged_doc),
-                                /*paged_tags=*/nullptr)
+                                std::move(disk),
+                                {std::move(paged_doc), /*tags=*/nullptr})
                 .value();
 
   SessionOptions io_opt;
@@ -444,14 +434,15 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
   auto doc_b = LoadDocument("<a><b/><b/></a>").value();
   auto doc_c = LoadDocument("<a><c/><b/></a>").value();
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_doc = PagedDocTable::Create(*doc_b, disk.get()).value();
-  auto wrong_tags = PagedTagIndex::Create(*doc_c, disk.get()).value();
+  auto paged_doc = MakeDocImage<RawFormat>(*doc_b, disk.get());
+  auto wrong_tags = MakeTagImage<RawFormat>(*doc_c, disk.get());
   ASSERT_NE(paged_doc->source_digest(), DocColumnsDigest(*doc_c));
-  ASSERT_NE(wrong_tags->source_digest(), FragmentColumnsDigest(*doc_b));
+  ASSERT_NE(wrong_tags->source_digest(),
+            FragmentColumnsDigest(*doc_b, DocColumnsDigest(*doc_b)));
 
-  auto spoofed = Database::FromParts(std::move(doc_b), nullptr,
-                                     std::move(disk), std::move(paged_doc),
-                                     std::move(wrong_tags));
+  auto spoofed = Database::FromParts(
+      std::move(doc_b), nullptr, std::move(disk),
+      {std::move(paged_doc), std::move(wrong_tags)});
   ASSERT_FALSE(spoofed.ok());
   EXPECT_NE(spoofed.status().ToString().find("tag fragment column set"),
             std::string::npos)
@@ -459,11 +450,11 @@ TEST(PagedPushdownTest, DigestMismatchIsRejectedAtOpenTime) {
 
   auto doc_b2 = LoadDocument("<a><b/><b/></a>").value();
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_doc2 = PagedDocTable::Create(*doc_b2, disk2.get()).value();
-  auto right_tags = PagedTagIndex::Create(*doc_b2, disk2.get()).value();
-  auto genuine = Database::FromParts(std::move(doc_b2), nullptr,
-                                     std::move(disk2), std::move(paged_doc2),
-                                     std::move(right_tags));
+  auto paged_doc2 = MakeDocImage<RawFormat>(*doc_b2, disk2.get());
+  auto right_tags = MakeTagImage<RawFormat>(*doc_b2, disk2.get());
+  auto genuine = Database::FromParts(
+      std::move(doc_b2), nullptr, std::move(disk2),
+      {std::move(paged_doc2), std::move(right_tags)});
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   SessionOptions opt;
   opt.backend = StorageBackend::kPaged;

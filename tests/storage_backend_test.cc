@@ -11,20 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <type_traits>
 
 #include "api/database.h"
 #include "core/doc_accessor.h"
 #include "core/staircase_impl.h"
-#include "storage/compressed_accessor.h"
-#include "storage/compressed_doc.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
+#include "storage/image_cursor.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace sj::storage {
 namespace {
 
+using sj::testing::MakeDocImage;
+using sj::testing::MakeTagImage;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocOptions;
 using sj::testing::RandomDocument;
@@ -50,7 +51,7 @@ TEST(DocAccessorTest, MemoryAndPagedCursorsReadTheSameColumns) {
   auto doc = RandomDocument(11, {.target_nodes = 60000});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 8);
   MemoryDocAccessor mem(*doc);
   PagedDocAccessor io(*paged, &pool);
@@ -71,7 +72,7 @@ TEST(DocAccessorTest, CompressedCursorReadsAllFiveColumnsExactly) {
                                  .attribute_percent = 30});
   ASSERT_GT(doc->size(), 10000u);
   SimulatedDisk disk;
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
   // Decoding never alters the columns: the compressed image must be a
   // strict shrink of the raw one.
   ASSERT_LT(compressed->encoded_bytes(), doc->size() * 14);
@@ -92,44 +93,71 @@ TEST(DocAccessorTest, CompressedCursorReadsAllFiveColumnsExactly) {
   EXPECT_TRUE(io.ok()) << io.status();
 }
 
-TEST(DocAccessorTest, CompressedCursorIsStickyOnPoolExhaustion) {
+template <typename Format>
+class ImageDocAccessorTest : public ::testing::Test {};
+TYPED_TEST_SUITE(ImageDocAccessorTest, sj::testing::ColumnFormats,
+                 sj::testing::ColumnFormatName);
+
+TYPED_TEST(ImageDocAccessorTest, CursorIsStickyOnPoolExhaustion) {
   auto doc = RandomDocument(78, {.target_nodes = 500});
   SimulatedDisk disk;
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto image = MakeDocImage<TypeParam>(*doc, &disk);
   BufferPool pool(&disk, 1);
   // Starve the accessor: an outside pin occupies the single frame.
-  ASSERT_TRUE(pool.Pin(compressed->kind().pages.front()).ok());
-  CompressedDocAccessor io(*compressed, &pool);
+  ASSERT_TRUE(pool.Pin(image->kind().pages.front()).ok());
+  ImageDocAccessor<TypeParam> io(*image, &pool);
   (void)io.Post(0);
   EXPECT_FALSE(io.ok());
   (void)io.Post(1);  // still failed, no crash, no new pins
   EXPECT_FALSE(io.status().ok());
   // And the join surfaces the error instead of returning garbage.
-  CompressedDocAccessor join_acc(*compressed, &pool);
+  ImageDocAccessor<TypeParam> join_acc(*image, &pool);
   auto r = internal::StaircaseJoinOver(join_acc, {0}, Axis::kDescendant, {},
                                        nullptr);
   EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(compressed->kind().pages.front()).ok());
+  ASSERT_TRUE(pool.Unpin(image->kind().pages.front()).ok());
 }
 
-TEST(DocAccessorTest, PagedCursorIsStickyOnPoolExhaustion) {
-  auto doc = RandomDocument(78, {.target_nodes = 500});
+TYPED_TEST(ImageDocAccessorTest, ReadsTheLastShortStrideOfEveryColumn) {
+  // More than one byte-column page, and a size that is a multiple of
+  // neither a page nor a block: every column ends in a short page and a
+  // short block. Read the first and the last value of every column's
+  // final page or block, arriving both by a sequential crossing and by a
+  // jump, against the resident columns.
+  auto doc = RandomDocument(11, {.target_nodes = 60000});
+  ASSERT_GT(doc->size(), kPageSize);
+  ASSERT_NE(doc->size() % encoding::kBlockValues, 0u);
+  ASSERT_NE(doc->size() % kPageSize, 0u);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
-  BufferPool pool(&disk, 1);
-  // Starve the accessor: an outside pin occupies the single frame.
-  ASSERT_TRUE(pool.Pin(paged->KindPage(0)).ok());
-  PagedDocAccessor io(*paged, &pool);
-  (void)io.Post(0);
-  EXPECT_FALSE(io.ok());
-  (void)io.Post(1);  // still failed, no crash, no new pins
-  EXPECT_FALSE(io.status().ok());
-  // And the join surfaces the error instead of returning garbage.
-  PagedDocAccessor join_acc(*paged, &pool);
-  auto r = internal::StaircaseJoinOver(join_acc, {0}, Axis::kDescendant, {},
-                                       nullptr);
-  EXPECT_FALSE(r.ok());
-  ASSERT_TRUE(pool.Unpin(paged->KindPage(0)).ok());
+  auto image = MakeDocImage<TypeParam>(*doc, &disk);
+  BufferPool pool(&disk, 8);
+  MemoryDocAccessor mem(*doc);
+  const uint64_t last = doc->size() - 1;
+  const uint64_t starts[] = {
+      last / kPageSize * kPageSize,                              // u8 page
+      last / (kPageSize / 4) * (kPageSize / 4),                  // u32 page
+      last / encoding::kBlockValues * encoding::kBlockValues,   // block
+  };
+  for (uint64_t start : starts) {
+    for (bool jump : {false, true}) {
+      ImageDocAccessor<TypeParam> io(*image, &pool);
+      if (jump) {
+        io.SkipTo(start);
+      } else {
+        EXPECT_EQ(io.Kind(start - 1), mem.Kind(start - 1));
+        EXPECT_EQ(io.Level(start - 1), mem.Level(start - 1));
+        EXPECT_EQ(io.Post(start - 1), mem.Post(start - 1));
+      }
+      for (uint64_t pre : {start, last}) {
+        EXPECT_EQ(io.Kind(pre), mem.Kind(pre)) << "pre " << pre;
+        EXPECT_EQ(io.Level(pre), mem.Level(pre)) << "pre " << pre;
+        EXPECT_EQ(io.Post(pre), mem.Post(pre)) << "pre " << pre;
+        EXPECT_EQ(io.Parent(pre), mem.Parent(pre)) << "pre " << pre;
+        EXPECT_EQ(io.Tag(pre), mem.Tag(pre)) << "pre " << pre;
+      }
+      EXPECT_TRUE(io.ok()) << io.status();
+    }
+  }
 }
 
 class BackendEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -145,8 +173,8 @@ TEST_P(BackendEquivalenceTest, PoolBackendJoinsAreByteIdenticalToMemory) {
   auto doc = RandomDocument(seed, doc_opt);
   ASSERT_GT(doc->size(), 10000u) << "degenerate random doc for seed " << seed;
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
+  auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
   BufferPool pool(&disk, 16);
   // Fresh accessors per join, as a session step builds them: the shared
   // driver with one worker runs the serial join over one accessor and
@@ -209,8 +237,8 @@ TEST(BackendEquivalenceTest, KeepAttributesAndExactLevelMatchToo) {
   auto doc = RandomDocument(13, {.target_nodes = 20000,
                                  .attribute_percent = 60});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
-  auto compressed = CompressedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
+  auto compressed = MakeDocImage<BlockFormat>(*doc, &disk);
   BufferPool pool(&disk, 16);
   auto paged_acc = [&] { return PagedDocAccessor(*paged, &pool); };
   auto zip_acc = [&] { return CompressedDocAccessor(*compressed, &pool); };
@@ -329,17 +357,45 @@ TEST(PagedEvaluatorTest, WorkerClampFitsPrivatePools) {
   }
 }
 
-TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
-  // The paged image of a *different* document must be rejected when the
+/// Opens a database adopting `images` as its paged or compressed pair.
+template <typename Format>
+Result<std::unique_ptr<Database>> AdoptImages(
+    std::unique_ptr<DocTable> doc, std::unique_ptr<SimulatedDisk> disk,
+    ImagePair<Format> images) {
+  if constexpr (std::is_same_v<Format, RawFormat>) {
+    return Database::FromParts(std::move(doc), nullptr, std::move(disk),
+                               std::move(images));
+  } else {
+    return Database::FromParts(std::move(doc), nullptr, std::move(disk), {},
+                               std::move(images));
+  }
+}
+
+template <typename Format>
+class AdoptedImageTest : public ::testing::Test {
+ protected:
+  static constexpr bool kPaged = std::is_same_v<Format, RawFormat>;
+  static constexpr const char* kName = kPaged ? "paged" : "compressed";
+  static constexpr StorageBackend kBackend =
+      kPaged ? StorageBackend::kPaged : StorageBackend::kCompressed;
+};
+TYPED_TEST_SUITE(AdoptedImageTest, sj::testing::ColumnFormats,
+                 sj::testing::ColumnFormatName);
+
+TYPED_TEST(AdoptedImageTest, StaleImageRejectedAtOpenTime) {
+  const std::string stale = std::string("stale ") + this->kName + " image";
+  // The image of a *different* document must be rejected when the
   // database is opened -- with the failing column set named -- not on
-  // some session's first paged query.
+  // some session's first query.
   auto doc = RandomDocument(9, {.target_nodes = 500});
   auto other = RandomDocument(10, {.target_nodes = 800});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged_other = PagedDocTable::Create(*other, disk.get()).value();
-  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                std::move(paged_other), nullptr);
+  auto image_other = MakeDocImage<TypeParam>(*other, disk.get());
+  auto db = AdoptImages<TypeParam>(std::move(doc), std::move(disk),
+                                   {std::move(image_other), nullptr});
   ASSERT_FALSE(db.ok());
+  EXPECT_NE(db.status().ToString().find(stale), std::string::npos)
+      << db.status();
   EXPECT_NE(db.status().ToString().find("post/kind/level/parent/tag"),
             std::string::npos)
       << db.status();
@@ -350,39 +406,39 @@ TEST(DatabaseOpenTest, StalePagedImageRejectedAtOpenTime) {
   auto flat = sj::LoadDocument("<a><b/><c/></a>").value();
   ASSERT_EQ(chain->size(), flat->size());
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto paged_chain = PagedDocTable::Create(*chain, disk2.get()).value();
-  auto spoofed = Database::FromParts(std::move(flat), nullptr,
-                                     std::move(disk2),
-                                     std::move(paged_chain), nullptr);
+  auto image_chain = MakeDocImage<TypeParam>(*chain, disk2.get());
+  auto spoofed = AdoptImages<TypeParam>(std::move(flat), std::move(disk2),
+                                        {std::move(image_chain), nullptr});
   ASSERT_FALSE(spoofed.ok());
-  EXPECT_NE(spoofed.status().ToString().find("stale paged image"),
-            std::string::npos)
+  EXPECT_NE(spoofed.status().ToString().find(stale), std::string::npos)
       << spoofed.status();
 
-  // The genuine pairing passes validation and serves paged queries.
+  // The genuine pairing passes validation and serves queries.
   auto chain2 = sj::LoadDocument("<a><b><c/></b></a>").value();
   auto disk3 = std::make_unique<SimulatedDisk>();
-  auto paged_chain2 = PagedDocTable::Create(*chain2, disk3.get()).value();
-  auto genuine = Database::FromParts(std::move(chain2), nullptr,
-                                     std::move(disk3),
-                                     std::move(paged_chain2), nullptr);
+  auto image_chain2 = MakeDocImage<TypeParam>(*chain2, disk3.get());
+  auto genuine = AdoptImages<TypeParam>(std::move(chain2), std::move(disk3),
+                                        {std::move(image_chain2), nullptr});
   ASSERT_TRUE(genuine.ok()) << genuine.status();
-  SessionOptions paged_opt;
-  paged_opt.backend = StorageBackend::kPaged;
-  auto r = std::move(genuine.value()->CreateSession(paged_opt)).value()
+  SessionOptions opt;
+  opt.backend = this->kBackend;
+  auto r = std::move(genuine.value()->CreateSession(opt)).value()
                .Run("/descendant::b");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r.value().nodes.size(), 1u);
 }
 
-TEST(DatabaseOpenTest, PagedImageWithoutDiskRejected) {
+TYPED_TEST(AdoptedImageTest, ImageWithoutDiskRejected) {
   auto doc = RandomDocument(9, {.target_nodes = 500});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto paged = PagedDocTable::Create(*doc, disk.get()).value();
-  // Adopting the paged table while dropping its disk is incoherent.
-  auto db = Database::FromParts(std::move(doc), nullptr, nullptr,
-                                std::move(paged), nullptr);
-  EXPECT_FALSE(db.ok());
+  auto image = MakeDocImage<TypeParam>(*doc, disk.get());
+  // Adopting the image while dropping its disk is incoherent.
+  auto db = AdoptImages<TypeParam>(std::move(doc), nullptr,
+                                   {std::move(image), nullptr});
+  ASSERT_FALSE(db.ok());
+  EXPECT_NE(db.status().ToString().find("adopted without its disk"),
+            std::string::npos)
+      << db.status();
 }
 
 TEST(PagedEvaluatorTest, SkippingSavesFaultsOnMultiStepQuery) {
@@ -439,37 +495,14 @@ TEST(CompressedEvaluatorTest, FaultsStrictlyFewerPagesThanPagedBackend) {
   EXPECT_LT(compressed_faults, paged_faults);
 }
 
-TEST(DatabaseOpenTest, StaleCompressedImageRejectedAtOpenTime) {
-  // A compressed image of a *different* document must be rejected when
-  // the database is opened, naming the failing column set.
-  auto doc = RandomDocument(9, {.target_nodes = 500});
-  auto other = RandomDocument(10, {.target_nodes = 800});
-  auto disk = std::make_unique<SimulatedDisk>();
-  auto compressed_other =
-      CompressedDocTable::Create(*other, disk.get()).value();
-  DatabaseOptions open;
-  open.build_paged = false;
-  open.build_compressed = false;
-  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                nullptr, nullptr,
-                                std::move(compressed_other), nullptr, open);
-  ASSERT_FALSE(db.ok());
-  EXPECT_NE(db.status().ToString().find("stale compressed image"),
-            std::string::npos)
-      << db.status();
-  EXPECT_NE(db.status().ToString().find("post/kind/level/parent/tag"),
-            std::string::npos)
-      << db.status();
-}
-
 TEST(DatabaseOpenTest, BitFlippedCompressedBlockRejectedAtOpenTime) {
   // Digest coverage of the compressed image itself: flip ONE bit inside
   // an encoded post block on disk and the open must fail with a Status
   // naming the damaged column -- the corrupt block is never served.
   auto doc = RandomDocument(9, {.target_nodes = 5000});
   auto disk = std::make_unique<SimulatedDisk>();
-  auto compressed = CompressedDocTable::Create(*doc, disk.get()).value();
-  const CompressedBlockRef& block = compressed->post().blocks.front();
+  auto compressed = MakeDocImage<BlockFormat>(*doc, disk.get());
+  const BlockRef& block = compressed->post().blocks.front();
   Page page;
   ASSERT_TRUE(disk->Read(block.page, &page).ok());
   page.bytes[block.offset + encoding::kBlockHeaderBytes] ^= 0x04;
@@ -478,9 +511,8 @@ TEST(DatabaseOpenTest, BitFlippedCompressedBlockRejectedAtOpenTime) {
   DatabaseOptions open;
   open.build_paged = false;
   open.build_compressed = false;
-  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk),
-                                nullptr, nullptr, std::move(compressed),
-                                nullptr, open);
+  auto db = Database::FromParts(std::move(doc), nullptr, std::move(disk), {},
+                                {std::move(compressed), nullptr}, open);
   ASSERT_FALSE(db.ok());
   EXPECT_NE(db.status().ToString().find("corrupt compressed image"),
             std::string::npos)
@@ -492,12 +524,11 @@ TEST(DatabaseOpenTest, BitFlippedCompressedBlockRejectedAtOpenTime) {
   // queries.
   auto doc2 = RandomDocument(9, {.target_nodes = 5000});
   auto disk2 = std::make_unique<SimulatedDisk>();
-  auto compressed2 = CompressedDocTable::Create(*doc2, disk2.get()).value();
-  auto tags2 = CompressedTagIndex::Create(*doc2, disk2.get()).value();
-  auto genuine = Database::FromParts(std::move(doc2), nullptr,
-                                     std::move(disk2), nullptr, nullptr,
-                                     std::move(compressed2), std::move(tags2),
-                                     open);
+  auto compressed2 = MakeDocImage<BlockFormat>(*doc2, disk2.get());
+  auto tags2 = MakeTagImage<BlockFormat>(*doc2, disk2.get());
+  auto genuine = Database::FromParts(
+      std::move(doc2), nullptr, std::move(disk2), {},
+      {std::move(compressed2), std::move(tags2)}, open);
   ASSERT_TRUE(genuine.ok()) << genuine.status();
   EXPECT_FALSE(genuine.value()->has_paged_backend());
   SessionOptions opt;
@@ -506,20 +537,6 @@ TEST(DatabaseOpenTest, BitFlippedCompressedBlockRejectedAtOpenTime) {
                .Run("/descendant::t0");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(r.value().nodes.size(), 0u);
-}
-
-TEST(DatabaseOpenTest, CompressedImageWithoutDiskRejected) {
-  auto doc = RandomDocument(9, {.target_nodes = 500});
-  auto disk = std::make_unique<SimulatedDisk>();
-  auto compressed = CompressedDocTable::Create(*doc, disk.get()).value();
-  DatabaseOptions open;
-  open.build_paged = false;
-  open.build_compressed = false;
-  // Adopting the compressed table while dropping its disk is incoherent.
-  auto db = Database::FromParts(std::move(doc), nullptr, nullptr, nullptr,
-                                nullptr, std::move(compressed), nullptr,
-                                open);
-  EXPECT_FALSE(db.ok());
 }
 
 TEST(DatabaseOpenTest, SessionWithoutCompressedImageRejected) {

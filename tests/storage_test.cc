@@ -9,14 +9,14 @@
 
 #include "core/staircase_impl.h"
 #include "storage/buffer_pool.h"
-#include "storage/paged_accessor.h"
-#include "storage/paged_doc.h"
+#include "storage/image_cursor.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace sj::storage {
 namespace {
 
+using sj::testing::MakeDocImage;
 using sj::testing::RandomContext;
 using sj::testing::RandomDocument;
 
@@ -207,16 +207,17 @@ TEST(ShardedBufferPoolTest, ConcurrentPinsKeepExactCounters) {
 TEST(PagedDocTest, PostAtMatchesDocTable) {
   auto doc = RandomDocument(7, {.target_nodes = 5000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 8);
   EXPECT_EQ(paged->size(), doc->size());
   EXPECT_EQ(paged->height(), doc->height());
+  PagedDocAccessor acc(*paged, &pool);
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     NodeId v = static_cast<NodeId>(rng.Below(doc->size()));
-    EXPECT_EQ(paged->PostAt(&pool, v).value(), doc->post(v));
+    EXPECT_EQ(acc.Post(v), doc->post(v));
   }
-  EXPECT_FALSE(paged->PostAt(&pool, static_cast<NodeId>(doc->size())).ok());
+  EXPECT_TRUE(acc.ok()) << acc.status();
 }
 
 using PagedParam = std::tuple<uint64_t, Axis, SkipMode, size_t>;
@@ -227,7 +228,7 @@ TEST_P(PagedJoinPropertyTest, MatchesInMemoryJoin) {
   auto [seed, axis, mode, pool_pages] = GetParam();
   auto doc = RandomDocument(seed, {.target_nodes = 4000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, pool_pages);
   Rng rng(seed ^ 0xBEEF);
   for (uint32_t percent : {5u, 30u}) {
@@ -264,7 +265,7 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
   // guaranteed-descendant copy phase reads no post pages at all.
   auto doc = RandomDocument(21, {.target_nodes = 60000});
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   NodeSequence ctx = {doc->root()};
 
   StaircaseOptions none, est;
@@ -294,7 +295,7 @@ TEST(PagedJoinTest, SkippingSavesPageFaults) {
 TEST(PagedJoinTest, RejectsBadInput) {
   auto doc = RandomDocument(31);
   SimulatedDisk disk;
-  auto paged = PagedDocTable::Create(*doc, &disk).value();
+  auto paged = MakeDocImage<RawFormat>(*doc, &disk);
   BufferPool pool(&disk, 4);
   auto join = [&](const NodeSequence& ctx, Axis axis) {
     PagedDocAccessor acc(*paged, &pool);
@@ -305,7 +306,8 @@ TEST(PagedJoinTest, RejectsBadInput) {
   // since the join runs through the backend-generic kernels.
   EXPECT_FALSE(join({0}, Axis::kChild).ok());
   EXPECT_TRUE(join({0}, Axis::kFollowing).ok());
-  EXPECT_FALSE(PagedDocTable::Create(*doc, nullptr).ok());
+  EXPECT_FALSE(
+      PagedDocTable::Create(*doc, nullptr, DocColumnsDigest(*doc)).ok());
 }
 
 }  // namespace

@@ -6,14 +6,19 @@
 #ifndef STAIRJOIN_TESTS_TEST_UTIL_H_
 #define STAIRJOIN_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/axis.h"
+#include "core/tag_view.h"
 #include "encoding/builder.h"
 #include "encoding/doc_table.h"
 #include "encoding/loader.h"
+#include "storage/image.h"
 #include "util/rng.h"
 
 namespace sj::testing {
@@ -27,6 +32,41 @@ inline constexpr const char* kPaperExampleXml =
 
 /// Loads the paper example; aborts the test process on failure.
 std::unique_ptr<DocTable> LoadPaperExample();
+
+/// Writes `doc`'s column image in `Format` onto `disk`; aborts the test
+/// process on failure.
+template <typename Format>
+std::unique_ptr<storage::DocImage<Format>> MakeDocImage(
+    const DocTable& doc, storage::SimulatedDisk* disk) {
+  return storage::DocImage<Format>::Create(doc, disk,
+                                           storage::DocColumnsDigest(doc))
+      .value();
+}
+
+/// Writes `doc`'s tag fragments in `Format` onto `disk`; aborts the test
+/// process on failure.
+template <typename Format>
+std::unique_ptr<storage::TagImage<Format>> MakeTagImage(
+    const DocTable& doc, storage::SimulatedDisk* disk) {
+  return storage::TagImage<Format>::Create(
+             doc, TagIndex(doc), disk,
+             storage::FragmentColumnsDigest(doc,
+                                            storage::DocColumnsDigest(doc)))
+      .value();
+}
+
+/// The column formats of the pool-backed backends, for typed tests over
+/// both: the paged (raw) and compressed (block) formats.
+using ColumnFormats =
+    ::testing::Types<storage::RawFormat, storage::BlockFormat>;
+
+/// Names ColumnFormats instantiations after their backends.
+struct ColumnFormatName {
+  template <typename Format>
+  static std::string GetName(int) {
+    return std::is_same_v<Format, storage::RawFormat> ? "Paged" : "Compressed";
+  }
+};
 
 /// Random-document knobs.
 struct RandomDocOptions {

@@ -41,6 +41,12 @@ enforces. This pass makes them hard failures in CI:
                     outside the encoding layer, src/delta/ and the
                     generators mutates (or rebuilds) an image behind the
                     snapshots' backs, breaking snapshot isolation.
+  column-format     The block codec (encoding::EncodeBlock/DecodeBlock)
+                    is called only by src/encoding/ and the storage
+                    column file (src/storage/column.{h,cc}), where the
+                    block format lives behind the one column seam. A
+                    call anywhere else under src/ grows a second
+                    storage stack that reads or writes blocks itself.
 
 Suppress a finding with a trailing or preceding comment carrying a
 justification:  // sj-lint: allow(rule-id) -- <why>
@@ -381,6 +387,23 @@ def check_delta_mutation(rel, code, _literals, allows, findings):
                 "const here")
 
 
+_CODEC_CALL_RE = re.compile(r"\b(?:EncodeBlock|DecodeBlock)\s*\(")
+
+_CODEC_ALLOWED = ("src/encoding/", "src/storage/column.h",
+                  "src/storage/column.cc")
+
+
+def check_column_format(rel, code, _literals, allows, findings):
+    if not rel.startswith("src/") or rel.startswith(_CODEC_ALLOWED):
+        return
+    for m in _CODEC_CALL_RE.finditer(code):
+        _report(findings, allows, rel, line_of(code, m.start()),
+                "column-format",
+                "block codec call outside src/storage/column.{h,cc}; read "
+                "and write blocks through the column format "
+                "(BlockFormat) instead of a storage stack of its own")
+
+
 _RULES = (
     check_pool_bypass,
     check_backend_dispatch,
@@ -389,6 +412,7 @@ _RULES = (
     check_bench_json,
     check_cost_literal,
     check_delta_mutation,
+    check_column_format,
 )
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ CASES = {
     "bench_missing_percentiles.cc": ("bench/bench_evil.cc", "bench-json"),
     "rogue_image_mutation.cc": ("src/api/evil.cc", "delta-mutation"),
     "rogue_cost_constant.cc": ("src/xpath/evil.cc", "cost-literal"),
+    "rogue_block_reader.cc": ("src/storage/evil.cc", "column-format"),
 }
 
 # The same fixtures linted at exempt locations must be clean: the rules
@@ -38,6 +39,7 @@ EXEMPT = {
     "bench_missing_percentiles.cc": "tests/evil_test.cc",
     "rogue_image_mutation.cc": "src/delta/evil.cc",
     "rogue_cost_constant.cc": "src/xpath/cost_model.h",
+    "rogue_block_reader.cc": "src/storage/column.h",
 }
 
 
