@@ -413,8 +413,9 @@ Status EditTxn::Commit() {
   // (a deleted document vanishes from the collection's root list).
   NodeSequence roots;
   roots.reserve(snap_->images().base_document_roots.size());
+  delta::RunHint hint;
   for (NodeId r : snap_->images().base_document_roots) {
-    if (std::optional<uint64_t> l = overlay->TryBasePreToLogical(r)) {
+    if (std::optional<uint64_t> l = overlay->TryBasePreToLogical(r, &hint)) {
       roots.push_back(static_cast<NodeId>(*l));
     }
   }

@@ -235,17 +235,9 @@ class Database {
   const storage::PagedDocTable* paged_doc() const {
     return CurrentSnapshot()->images().paged.doc.get();
   }
-  /// Paged tag fragments; null without a paged image.
-  const storage::PagedTagIndex* paged_tags() const {
-    return CurrentSnapshot()->images().paged.tags.get();
-  }
   /// Compressed doc columns; null without a compressed image.
   const storage::CompressedDocTable* compressed_doc() const {
     return CurrentSnapshot()->images().compressed.doc.get();
-  }
-  /// Compressed tag fragments; null without a compressed image.
-  const storage::CompressedTagIndex* compressed_tags() const {
-    return CurrentSnapshot()->images().compressed.tags.get();
   }
   /// The shared buffer pool (internally synchronized); null without a
   /// paged image. Exposed for experiment control (cold starts, fault

@@ -27,6 +27,12 @@ namespace sj::delta {
 
 /// \brief DocAccessor over the merged document (see file comment).
 ///
+/// Run-aware: the accessor keeps the pre-space run it read last, so a
+/// read inside it goes straight to the base accessor at a constant rank
+/// offset (or to the resident delta arrays), and the base post and
+/// parent ranks it returns translate through reverse runs cached the
+/// same way. Only a read outside a cached run searches (RunHint).
+///
 /// Borrows the overlay (and whatever the base accessor borrows); both
 /// must outlive the accessor. Errors surface through the base accessor's
 /// sticky status; overlay reads are infallible.
@@ -41,47 +47,46 @@ class DeltaDocAccessor {
   size_t size() const { return ov_->logical_size(); }
 
   uint32_t Post(uint64_t pre) {
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
-    if (loc.from_delta) return ov_->DeltaPost(loc.src);
-    return static_cast<uint32_t>(ov_->BasePostToLogical(base_.Post(loc.src)));
+    const Run& r = ov_->LocatePre(pre, &pre_);
+    if (r.from_delta) return ov_->DeltaPost(r.Map(pre));
+    return static_cast<uint32_t>(
+        ov_->BasePostToLogical(base_.Post(r.Map(pre)), &post_));
   }
 
   uint8_t Kind(uint64_t pre) {
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
-    return loc.from_delta ? ov_->DeltaKind(loc.src) : base_.Kind(loc.src);
+    const Run& r = ov_->LocatePre(pre, &pre_);
+    return r.from_delta ? ov_->DeltaKind(r.Map(pre)) : base_.Kind(r.Map(pre));
   }
 
   uint8_t Level(uint64_t pre) {
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
-    return loc.from_delta ? ov_->DeltaLevel(loc.src) : base_.Level(loc.src);
+    const Run& r = ov_->LocatePre(pre, &pre_);
+    return r.from_delta ? ov_->DeltaLevel(r.Map(pre))
+                        : base_.Level(r.Map(pre));
   }
 
   NodeId Parent(uint64_t pre) {
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
-    if (loc.from_delta) return ov_->DeltaParent(loc.src);
-    NodeId bp = base_.Parent(loc.src);
+    const Run& r = ov_->LocatePre(pre, &pre_);
+    if (r.from_delta) return ov_->DeltaParent(r.Map(pre));
+    NodeId bp = base_.Parent(r.Map(pre));
     if (bp == kNilNode) return kNilNode;
     // A surviving node's ancestors all survive (deletes take whole
     // subtrees) and base parents are never rewired, so the map is total.
-    return static_cast<NodeId>(ov_->BasePreToLogical(bp));
+    return static_cast<NodeId>(ov_->BasePreToLogical(bp, &parent_));
   }
 
   TagId Tag(uint64_t pre) {
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
+    const Run& r = ov_->LocatePre(pre, &pre_);
     // Base TagIds keep their values in the merged dictionary.
-    return loc.from_delta ? ov_->DeltaTag(loc.src) : base_.Tag(loc.src);
+    return r.from_delta ? ov_->DeltaTag(r.Map(pre)) : base_.Tag(r.Map(pre));
   }
 
   void SkipTo(uint64_t pre) {
     if (pre >= ov_->logical_size()) return;
-    Location loc = ov_->LocatePre(pre, &pre_hint_);
-    if (loc.from_delta) {
-      // The jump lands in resident data; announce the next base rank so
-      // a paged base can still prefetch where the scan re-enters it.
-      base_.SkipTo(ov_->LowerBoundBasePre(pre));
-    } else {
-      base_.SkipTo(loc.src);
-    }
+    const Run& r = ov_->LocatePre(pre, &pre_);
+    // A jump into resident data announces the next base rank, so a paged
+    // base can still prefetch where the scan re-enters it.
+    base_.SkipTo(r.from_delta ? ov_->LowerBoundBasePre(pre, &lower_)
+                              : r.Map(pre));
   }
 
   bool ok() const { return base_.ok(); }
@@ -90,7 +95,10 @@ class DeltaDocAccessor {
  private:
   const Overlay* ov_;
   Base base_;
-  size_t pre_hint_ = 0;
+  RunHint pre_;     ///< logical pre -> base pre / delta index
+  RunHint post_;    ///< base post -> logical post
+  RunHint parent_;  ///< base pre of a parent -> logical pre
+  size_t lower_ = 0;
 };
 
 static_assert(DocAccessor<DeltaDocAccessor<MemoryDocAccessor>>);
@@ -99,8 +107,10 @@ static_assert(DocAccessor<DeltaDocAccessor<MemoryDocAccessor>>);
 ///
 /// Slot segments splice surviving base slots (read through the wrapped
 /// backend cursor) with resident delta entries; each segment carries the
-/// logical pre of its first node, so LowerBound stays a resident binary
-/// search plus at most one base-cursor LowerBound (fence-key reads).
+/// logical pre of its first node, so LowerBound stays a resident search
+/// plus at most one base-cursor LowerBound (fence-key reads). Run-aware
+/// like DeltaDocAccessor: the slot run and the pre/post translations of
+/// base slots are cached per cursor.
 template <typename Base>
 class DeltaFragmentCursor {
  public:
@@ -113,29 +123,27 @@ class DeltaFragmentCursor {
   size_t size() const { return fo_->merged_count; }
 
   NodeId Pre(size_t slot) {
-    const SlotSegment& s = Seg(slot);
-    size_t src = s.src + (slot - s.lslot);
-    if (s.from_delta) return fo_->delta_pre[src];
-    return static_cast<NodeId>(ov_->BasePreToLogical(base_.Pre(src)));
+    const Run& r = fo_->SlotRun(slot, &slot_);
+    if (r.from_delta) return fo_->delta_pre[r.Map(slot)];
+    return static_cast<NodeId>(
+        ov_->BasePreToLogical(base_.Pre(r.Map(slot)), &pre_));
   }
 
   uint32_t Post(size_t slot) {
-    const SlotSegment& s = Seg(slot);
-    size_t src = s.src + (slot - s.lslot);
-    if (s.from_delta) return fo_->delta_post[src];
-    return static_cast<uint32_t>(ov_->BasePostToLogical(base_.Post(src)));
+    const Run& r = fo_->SlotRun(slot, &slot_);
+    if (r.from_delta) return fo_->delta_post[r.Map(slot)];
+    return static_cast<uint32_t>(
+        ov_->BasePostToLogical(base_.Post(r.Map(slot)), &post_));
   }
 
   size_t LowerBound(uint64_t pre) {
     const auto& segs = fo_->slots;
-    if (segs.empty()) return 0;
     // Last segment whose first node is at or before the target; every
     // earlier slot precedes the target, every later segment follows it.
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), pre,
-        [](uint64_t v, const SlotSegment& s) { return v < s.first_lpre; });
-    if (it == segs.begin()) return 0;
-    const SlotSegment& s = *(it - 1);
+    const size_t i = FindRun(segs, pre, &lower_,
+                             [](const SlotSegment& s) { return s.first_lpre; });
+    if (i == segs.size()) return 0;
+    const SlotSegment& s = segs[i];
     if (s.from_delta) {
       const uint32_t* lo = fo_->delta_pre.data() + s.src;
       size_t off = static_cast<size_t>(
@@ -144,42 +152,29 @@ class DeltaFragmentCursor {
     }
     // Translate the logical target into base pre space (resident), let
     // the base cursor do its fence-key search, clamp to the segment.
-    size_t bslot = base_.LowerBound(ov_->LowerBoundBasePre(pre));
+    size_t bslot = base_.LowerBound(ov_->LowerBoundBasePre(pre, &lower_base_));
     bslot = std::clamp<size_t>(bslot, s.src, s.src + s.count);
     return s.lslot + (bslot - s.src);
   }
 
   void SkipTo(size_t slot) {
     if (slot >= fo_->merged_count) return;
-    const SlotSegment& s = Seg(slot);
-    if (!s.from_delta) base_.SkipTo(s.src + (slot - s.lslot));
+    const Run& r = fo_->SlotRun(slot, &slot_);
+    if (!r.from_delta) base_.SkipTo(r.Map(slot));
   }
 
   bool ok() const { return base_.ok(); }
   Status status() const { return base_.status(); }
 
  private:
-  const SlotSegment& Seg(size_t slot) {
-    const auto& segs = fo_->slots;
-    if (hint_ < segs.size() && segs[hint_].lslot <= slot &&
-        slot < segs[hint_].lslot + segs[hint_].count) {
-      return segs[hint_];
-    }
-    if (hint_ + 1 < segs.size() && segs[hint_ + 1].lslot <= slot &&
-        slot < segs[hint_ + 1].lslot + segs[hint_ + 1].count) {
-      return segs[++hint_];
-    }
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), slot,
-        [](size_t v, const SlotSegment& s) { return v < s.lslot; });
-    hint_ = static_cast<size_t>(it - segs.begin()) - 1;
-    return segs[hint_];
-  }
-
   const Overlay* ov_;
   const FragmentOverlay* fo_;
   Base base_;
-  size_t hint_ = 0;
+  RunHint slot_;  ///< merged slot -> base slot / delta entry
+  RunHint pre_;   ///< base pre -> logical pre
+  RunHint post_;  ///< base post -> logical post
+  size_t lower_ = 0;
+  size_t lower_base_ = 0;
 };
 
 static_assert(FragmentCursor<DeltaFragmentCursor<MemoryFragmentCursor>>);

@@ -65,64 +65,6 @@ uint64_t TotalCount(const std::vector<Segment>& segs) {
 
 // --- Overlay reads ---------------------------------------------------------
 
-Location Overlay::Locate(const std::vector<Segment>& segs, uint64_t lrank,
-                         size_t* hint) {
-  size_t i;
-  // Sequential scans resolve in the hinted or the next segment almost
-  // always; fall back to binary search otherwise.
-  if (hint != nullptr && *hint < segs.size() &&
-      segs[*hint].lstart <= lrank &&
-      lrank < segs[*hint].lstart + segs[*hint].count) {
-    i = *hint;
-  } else if (hint != nullptr && *hint + 1 < segs.size() &&
-             segs[*hint + 1].lstart <= lrank &&
-             lrank < segs[*hint + 1].lstart + segs[*hint + 1].count) {
-    i = *hint + 1;
-  } else {
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), lrank,
-        [](uint64_t v, const Segment& s) { return v < s.lstart; });
-    assert(it != segs.begin() && "logical rank below covered range");
-    i = static_cast<size_t>(it - segs.begin()) - 1;
-  }
-  if (hint != nullptr) *hint = i;
-  const Segment& s = segs[i];
-  assert(lrank < s.lstart + s.count && "logical rank beyond covered range");
-  return Location{s.from_delta, s.src + (lrank - s.lstart)};
-}
-
-uint64_t Overlay::MapBase(const std::vector<RevSeg>& revs, uint64_t brank) {
-  auto it = std::upper_bound(
-      revs.begin(), revs.end(), brank,
-      [](uint64_t v, const RevSeg& s) { return v < s.src; });
-  assert(it != revs.begin() && "base rank not covered by reverse map");
-  const RevSeg& s = *(it - 1);
-  assert(brank < s.src + s.count && "base rank was deleted");
-  return s.lstart + (brank - s.src);
-}
-
-std::optional<uint64_t> Overlay::TryBasePreToLogical(uint64_t bpre) const {
-  auto it = std::upper_bound(
-      base_pre_to_logical_.begin(), base_pre_to_logical_.end(), bpre,
-      [](uint64_t v, const RevSeg& s) { return v < s.src; });
-  if (it == base_pre_to_logical_.begin()) return std::nullopt;
-  const RevSeg& s = *(it - 1);
-  if (bpre >= s.src + s.count) return std::nullopt;
-  return s.lstart + (bpre - s.src);
-}
-
-uint64_t Overlay::LowerBoundBasePre(uint64_t lpre) const {
-  // Surviving base nodes keep their relative order, so the reverse map
-  // is ascending in both src and lstart: find the first run whose
-  // logical range ends beyond lpre.
-  auto it = std::upper_bound(
-      base_pre_to_logical_.begin(), base_pre_to_logical_.end(), lpre,
-      [](uint64_t v, const RevSeg& s) { return v < s.lstart + s.count; });
-  if (it == base_pre_to_logical_.end()) return base_size_;
-  if (lpre <= it->lstart) return it->src;
-  return it->src + (lpre - it->lstart);
-}
-
 std::optional<TagId> Overlay::LookupTag(const TagDictionary& base,
                                         std::string_view name) const {
   if (auto id = base.Lookup(name)) return id;
@@ -182,31 +124,31 @@ uint64_t OverlayBuilder::BasePostToLogicalNow(uint64_t bpost) const {
 }
 
 uint8_t OverlayBuilder::KindAt(uint64_t lpre) const {
-  size_t hint = 0;
-  Location loc = Overlay::Locate(ov_.pre_segs_, lpre, &hint);
-  if (loc.from_delta) return ov_.kind_[loc.src];
-  return static_cast<uint8_t>(base_.kind(static_cast<NodeId>(loc.src)));
+  RunHint hint;
+  const Run& r = ov_.LocatePre(lpre, &hint);
+  if (r.from_delta) return ov_.kind_[r.Map(lpre)];
+  return static_cast<uint8_t>(base_.kind(static_cast<NodeId>(r.Map(lpre))));
 }
 
 uint32_t OverlayBuilder::LevelAt(uint64_t lpre) const {
-  size_t hint = 0;
-  Location loc = Overlay::Locate(ov_.pre_segs_, lpre, &hint);
-  if (loc.from_delta) return ov_.level_[loc.src];
-  return base_.level(static_cast<NodeId>(loc.src));
+  RunHint hint;
+  const Run& r = ov_.LocatePre(lpre, &hint);
+  if (r.from_delta) return ov_.level_[r.Map(lpre)];
+  return base_.level(static_cast<NodeId>(r.Map(lpre)));
 }
 
 uint64_t OverlayBuilder::PostAt(uint64_t lpre) const {
-  size_t hint = 0;
-  Location loc = Overlay::Locate(ov_.pre_segs_, lpre, &hint);
-  if (loc.from_delta) return ov_.lpost_[loc.src];
-  return BasePostToLogicalNow(base_.post(static_cast<NodeId>(loc.src)));
+  RunHint hint;
+  const Run& r = ov_.LocatePre(lpre, &hint);
+  if (r.from_delta) return ov_.lpost_[r.Map(lpre)];
+  return BasePostToLogicalNow(base_.post(static_cast<NodeId>(r.Map(lpre))));
 }
 
 NodeId OverlayBuilder::ParentAt(uint64_t lpre) const {
-  size_t hint = 0;
-  Location loc = Overlay::Locate(ov_.pre_segs_, lpre, &hint);
-  if (loc.from_delta) return ov_.lparent_[loc.src];
-  NodeId bp = base_.parent(static_cast<NodeId>(loc.src));
+  RunHint hint;
+  const Run& r = ov_.LocatePre(lpre, &hint);
+  if (r.from_delta) return ov_.lparent_[r.Map(lpre)];
+  NodeId bp = base_.parent(static_cast<NodeId>(r.Map(lpre)));
   if (bp == kNilNode) return kNilNode;
   return static_cast<NodeId>(BasePreToLogicalNow(bp));
 }
@@ -493,14 +435,17 @@ Status OverlayBuilder::BuildFragmentOverlays() {
     // bkey[k]: smallest surviving base pre whose logical pre follows
     // entry k -- entry k sits before base slot s iff bkey[k] <= pre[s].
     std::vector<NodeId> bkey(entries.size());
+    size_t bkey_hint = 0;
     for (size_t k = 0; k < entries.size(); ++k) {
-      bkey[k] = static_cast<NodeId>(ov_.LowerBoundBasePre(entries[k].first));
+      bkey[k] = static_cast<NodeId>(
+          ov_.LowerBoundBasePre(entries[k].first, &bkey_hint));
     }
 
     fo.delta_pre.reserve(entries.size());
     fo.delta_post.reserve(entries.size());
     uint32_t merged_slot = 0;
     size_t di = 0;
+    RunHint first_hint;
     auto emit_delta_upto = [&](NodeId limit, bool bounded) {
       while (di < entries.size() && (!bounded || bkey[di] <= limit)) {
         size_t start = di;
@@ -532,7 +477,8 @@ Status OverlayBuilder::BuildFragmentOverlays() {
           fo.slots.push_back(SlotSegment{
               merged_slot, static_cast<uint32_t>(send - s),
               static_cast<uint32_t>(s),
-              static_cast<uint32_t>(ov_.BasePreToLogical(view.pre[s])),
+              static_cast<uint32_t>(
+                  ov_.BasePreToLogical(view.pre[s], &first_hint)),
               false});
           merged_slot += static_cast<uint32_t>(send - s);
           s = send;
@@ -563,27 +509,29 @@ Result<std::unique_ptr<DocTable>> MaterializeMerged(
     const std::string* name;
   };
   std::vector<Open> stack;
-  size_t hint = 0;
+  RunHint pre_hint;
+  RunHint post_hint;
   const uint64_t total = overlay.logical_size();
   for (uint64_t i = 0; i < total; ++i) {
-    Location loc = overlay.LocatePre(i, &hint);
+    const Run& r = overlay.LocatePre(i, &pre_hint);
     uint8_t kind;
     TagId tag;
     uint32_t level;
     uint64_t post;
     std::string_view value;
-    if (loc.from_delta) {
-      kind = overlay.DeltaKind(loc.src);
-      tag = overlay.DeltaTag(loc.src);
-      level = overlay.DeltaLevel(loc.src);
-      post = overlay.DeltaPost(loc.src);
-      value = overlay.DeltaValue(loc.src);
+    if (r.from_delta) {
+      const uint64_t d = r.Map(i);
+      kind = overlay.DeltaKind(d);
+      tag = overlay.DeltaTag(d);
+      level = overlay.DeltaLevel(d);
+      post = overlay.DeltaPost(d);
+      value = overlay.DeltaValue(d);
     } else {
-      NodeId b = static_cast<NodeId>(loc.src);
+      NodeId b = static_cast<NodeId>(r.Map(i));
       kind = static_cast<uint8_t>(base.kind(b));
       tag = base.tag(b);
       level = base.level(b);
-      post = overlay.BasePostToLogical(base.post(b));
+      post = overlay.BasePostToLogical(base.post(b), &post_hint);
       value = base.value(b);
     }
     while (!stack.empty() && stack.back().end == i) {

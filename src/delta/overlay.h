@@ -30,6 +30,8 @@
 #ifndef STAIRJOIN_DELTA_OVERLAY_H_
 #define STAIRJOIN_DELTA_OVERLAY_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -58,12 +60,53 @@ struct Segment {
   bool from_delta = false;  ///< resident delta nodes vs column images
 };
 
-/// Where a logical rank resolves to: a base rank (read through the
-/// backend accessor) or a delta-array index (resident).
-struct Location {
+/// A run of ranks that translate by one constant, as a search resolved
+/// it: rank x in [first, first + count) maps to x + shift (mod 2^64).
+/// A pre-space run maps logical ranks to base ranks (read through the
+/// backend accessor) or, `from_delta`, to delta-array indexes
+/// (resident); a reverse run maps base ranks to logical ranks.
+struct Run {
+  uint64_t first = 0;
+  uint64_t count = 0;
+  uint64_t shift = 0;
   bool from_delta = false;
-  uint64_t src = 0;
+
+  bool Holds(uint64_t x) const { return x - first < count; }
+  uint64_t Map(uint64_t x) const { return x + shift; }
 };
+
+/// A caller-owned translation cache: the last run one kind of lookup
+/// resolved and the index the search found it at. A cursor owns one per
+/// translation it repeats, so a read inside the cached run costs one
+/// compare, a read past it usually one more (the next run), and only a
+/// jump pays a binary search. Hints live in the per-query cursors, never
+/// in the shared Overlay, which stays immutable and latch-free.
+struct RunHint {
+  Run run;  ///< empty (holds nothing) until the first lookup
+  size_t index = 0;
+};
+
+/// The one run search every rank translation goes through: the index of
+/// the last run in `runs` whose `key(run)` (ascending) is <= x, or
+/// runs.size() when x precedes them all. Tries the hinted run, then the
+/// next one -- where a scan that left its run lands -- and only then
+/// binary-searches; leaves the index found in *hint.
+template <typename R, typename Key>
+inline size_t FindRun(const std::vector<R>& runs, uint64_t x, size_t* hint,
+                      Key key) {
+  const size_t n = runs.size();
+  const size_t h = *hint;
+  if (h < n && key(runs[h]) <= x) {
+    if (h + 1 == n || x < key(runs[h + 1])) return h;
+    if (h + 2 == n || x < key(runs[h + 2])) return *hint = h + 1;
+  }
+  const size_t i = static_cast<size_t>(
+      std::upper_bound(runs.begin(), runs.end(), x,
+                       [&key](uint64_t v, const R& r) { return v < key(r); }) -
+      runs.begin());
+  if (i == 0) return n;
+  return *hint = i - 1;
+}
 
 /// One run of merged fragment slots for a tag (see FragmentOverlay).
 struct SlotSegment {
@@ -73,6 +116,28 @@ struct SlotSegment {
   uint32_t first_lpre = 0;  ///< logical pre of the first node (resident key)
   bool from_delta = false;
 };
+
+/// Points `hint` at the run of `runs` that FindRun finds for x, as
+/// `to_run` converts it (an empty run when x precedes them all). Out of
+/// line on purpose: a cursor calls it only when a read leaves its cached
+/// run, and keeping the search out of the read path keeps the cursors'
+/// per-value reads small enough to inline into the kernels' loops.
+template <typename R, typename Key, typename ToRun>
+[[gnu::noinline]] void Relocate(const std::vector<R>& runs, uint64_t x,
+                                RunHint* hint, Key key, ToRun to_run) {
+  const size_t i = FindRun(runs, x, &hint->index, key);
+  hint->run = i < runs.size() ? to_run(runs[i]) : Run{};
+}
+
+/// The cached run when it holds x, else the one Relocate finds.
+template <typename R, typename Key, typename ToRun>
+inline const Run& CachedRun(const std::vector<R>& runs, uint64_t x,
+                            RunHint* hint, Key key, ToRun to_run) {
+  if (!hint->run.Holds(x)) [[unlikely]] {
+    Relocate(runs, x, hint, key, to_run);
+  }
+  return hint->run;
+}
 
 /// The per-tag fragment (pre/post pairs of elements with one tag) of the
 /// merged document, as slot segments over the base TagView plus resident
@@ -84,6 +149,19 @@ struct FragmentOverlay {
   std::vector<SlotSegment> slots;
   std::vector<uint32_t> delta_pre;   ///< logical pres, sorted ascending
   std::vector<uint32_t> delta_post;  ///< parallel logical posts
+
+  /// The slot run holding merged slot `slot`: Map gives its base slot or,
+  /// `from_delta`, its index into delta_pre/delta_post.
+  const Run& SlotRun(uint64_t slot, RunHint* hint) const {
+    const Run& r = CachedRun(
+        slots, slot, hint, [](const SlotSegment& s) { return s.lslot; },
+        [](const SlotSegment& s) {
+          return Run{s.lslot, s.count, uint64_t{s.src} - s.lslot,
+                     s.from_delta};
+        });
+    assert(r.Holds(slot) && "slot outside the merged fragment");
+    return r;
+  }
 };
 
 /// \brief Immutable description of an edited document as segments over
@@ -111,33 +189,61 @@ class Overlay {
   bool empty() const { return kind_.empty() && deleted_base_nodes_ == 0; }
 
   // --- logical-rank resolution -------------------------------------------
+  // Every translation runs through FindRun with a caller-owned hint, so
+  // each is one search written once; cursors keep the hints.
 
-  /// Resolves a logical pre rank. `hint` caches the last segment index
-  /// for the common sequential-scan pattern; pass a per-caller slot.
-  Location LocatePre(uint64_t lpre, size_t* hint) const {
-    return Locate(pre_segs_, lpre, hint);
+  /// The pre-space run holding logical pre rank `lpre`.
+  const Run& LocatePre(uint64_t lpre, RunHint* hint) const {
+    const Run& r = CachedRun(
+        pre_segs_, lpre, hint, [](const Segment& s) { return s.lstart; },
+        [](const Segment& s) {
+          return Run{s.lstart, s.count, s.src - s.lstart, s.from_delta};
+        });
+    assert(r.Holds(lpre) && "logical rank outside the covered range");
+    return r;
   }
 
   /// Logical pre rank of a surviving base node (pre rank `bpre`).
-  uint64_t BasePreToLogical(uint64_t bpre) const {
-    return MapBase(base_pre_to_logical_, bpre);
+  uint64_t BasePreToLogical(uint64_t bpre, RunHint* hint) const {
+    const Run& r = Reverse(base_pre_to_logical_, bpre, hint);
+    assert(r.Holds(bpre) && "base rank was deleted");
+    return r.Map(bpre);
   }
 
   /// Logical post rank of a surviving base node's post rank.
-  uint64_t BasePostToLogical(uint64_t bpost) const {
-    return MapBase(base_post_to_logical_, bpost);
+  uint64_t BasePostToLogical(uint64_t bpost, RunHint* hint) const {
+    const Run& r = Reverse(base_post_to_logical_, bpost, hint);
+    assert(r.Holds(bpost) && "base rank was deleted");
+    return r.Map(bpost);
   }
 
   /// Like BasePreToLogical but returns nullopt for deleted base nodes.
-  std::optional<uint64_t> TryBasePreToLogical(uint64_t bpre) const;
+  std::optional<uint64_t> TryBasePreToLogical(uint64_t bpre,
+                                              RunHint* hint) const {
+    const Run& r = Reverse(base_pre_to_logical_, bpre, hint);
+    if (!r.Holds(bpre)) return std::nullopt;
+    return r.Map(bpre);
+  }
 
   /// Smallest surviving base pre rank whose logical pre is >= `lpre`
   /// (base_size() when no base node follows). This is how a fragment
   /// cursor translates a logical LowerBound target into a base-space
   /// LowerBound the paged fence keys understand.
-  uint64_t LowerBoundBasePre(uint64_t lpre) const;
+  uint64_t LowerBoundBasePre(uint64_t lpre, size_t* hint) const {
+    // Surviving base nodes keep their relative order, so the reverse map
+    // ascends in lstart too: the answer lies in the last run starting at
+    // or before lpre, or is the first rank of the run after it.
+    const std::vector<RevSeg>& revs = base_pre_to_logical_;
+    const size_t i =
+        FindRun(revs, lpre, hint, [](const RevSeg& s) { return s.lstart; });
+    if (i == revs.size()) return revs.empty() ? base_size_ : revs[0].src;
+    if (lpre < revs[i].lstart + revs[i].count) {
+      return revs[i].src + (lpre - revs[i].lstart);
+    }
+    return i + 1 < revs.size() ? revs[i + 1].src : base_size_;
+  }
 
-  // --- resident delta-node columns (index = Location::src) ---------------
+  // --- resident delta-node columns (index = a delta run's Map) -----------
 
   uint8_t DeltaKind(uint64_t i) const { return kind_[i]; }
   TagId DeltaTag(uint64_t i) const { return tag_[i]; }
@@ -186,9 +292,16 @@ class Overlay {
     uint64_t lstart = 0;
   };
 
-  static Location Locate(const std::vector<Segment>& segs, uint64_t lrank,
-                         size_t* hint);
-  static uint64_t MapBase(const std::vector<RevSeg>& revs, uint64_t brank);
+  /// The reverse run of base rank `brank`; it does not hold `brank` when
+  /// that node was deleted.
+  static const Run& Reverse(const std::vector<RevSeg>& revs, uint64_t brank,
+                            RunHint* hint) {
+    return CachedRun(
+        revs, brank, hint, [](const RevSeg& s) { return s.src; },
+        [](const RevSeg& s) {
+          return Run{s.src, s.count, s.lstart - s.src, false};
+        });
+  }
 
   uint64_t base_size_ = 0;
   uint64_t logical_size_ = 0;

@@ -111,20 +111,22 @@ class PageGuard {
   PageId held() const { return held_; }
 
   /// Announces that the next read moves this guard to `page`, with
-  /// `next` as the column's following page (the readahead window): when
+  /// `next()` as the column's following page (the readahead window): when
   /// the column is actively scanning elsewhere and prefetching is on,
   /// both pages are handed to BufferPool::Prefetch as one batched
   /// fault. Cursors call this right before Get on every page switch, so
   /// sequential boundary crossings batch exactly like SkipTo leaps --
   /// and since a scan that crossed into `page` usually keeps going,
   /// `next` rides the same seek for the cheap per-page transfer cost
-  /// instead of its own synchronous fault. Pass `next == page` at
+  /// instead of its own synchronous fault. `next()` returns `page` at
   /// end-of-column (the duplicate is dropped, leaving a degenerate
   /// single-page hint that Prefetch ignores). No-op when not scanning,
-  /// not switching, or prefetch is off.
-  void AnnounceSwitch(PageId page, PageId next) {
+  /// not switching, or prefetch is off -- and then `next()` is never
+  /// called, so a format may search for its readahead page in it.
+  template <typename NextPage>
+  void AnnounceSwitch(PageId page, NextPage next) {
     if (!holding_ || held_ == page || !pool_->prefetch_enabled()) return;
-    const PageId hints[2] = {page, next};
+    const PageId hints[2] = {page, next()};
     pool_->Prefetch(hints);
   }
 
@@ -227,7 +229,9 @@ class RawColumnCursor
   /// readahead window.
   const uint8_t* Switch(size_t p, Status* status) {
     const std::vector<PageId>& pages = col_->pages;
-    guard_.AnnounceSwitch(pages[p], pages[p + 1 < pages.size() ? p + 1 : p]);
+    guard_.AnnounceSwitch(pages[p], [&pages, p] {
+      return pages[p + 1 < pages.size() ? p + 1 : p];
+    });
     return guard_.Get(pages[p], status);
   }
 };
@@ -317,13 +321,15 @@ class BlockColumnCursor
     // The readahead page of a block column is its next *page*: several
     // blocks share a page, so it is the page of the first block past
     // the landing page -- block page ids are non-decreasing (the writer
-    // appends), hence the binary search. Clamps to the landing page on
-    // the last page.
-    auto it = std::upper_bound(
-        col_->blocks.begin() + static_cast<ptrdiff_t>(b), col_->blocks.end(),
-        ref.page, [](PageId p, const BlockRef& r) { return p < r.page; });
-    guard_.AnnounceSwitch(ref.page,
-                          it != col_->blocks.end() ? it->page : ref.page);
+    // appends), hence the binary search, run only when the hint is sent.
+    // Clamps to the landing page on the last page.
+    guard_.AnnounceSwitch(ref.page, [this, b, &ref] {
+      const std::vector<BlockRef>& blocks = col_->blocks;
+      auto it = std::upper_bound(
+          blocks.begin() + static_cast<ptrdiff_t>(b), blocks.end(), ref.page,
+          [](PageId p, const BlockRef& r) { return p < r.page; });
+      return it != blocks.end() ? it->page : ref.page;
+    });
     const uint8_t* page = guard_.Get(ref.page, status);
     if (page == nullptr) return false;
     Status decoded = encoding::DecodeBlock(

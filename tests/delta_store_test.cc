@@ -5,14 +5,18 @@
 // dense, so "identical" is literal NodeSequence equality, never a
 // remapping. Randomized edit scripts drive the segment surgery through
 // arbitrary insert/delete/replace interleavings; a column-equivalence
-// walk pins the merging accessor against the materialized fold; and a
+// walk pins the merging accessor against the materialized fold; a
+// many-run overlay read forward, backward and in random order pins the
+// run-aware cursors over every backend's base cursor; and a
 // writers-vs-readers test (run under the SJ_SANITIZE TSan job) proves
 // snapshot isolation: readers only ever observe committed states.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "core/doc_accessor.h"
 #include "delta/delta_accessor.h"
 #include "delta/overlay.h"
+#include "storage/image_cursor.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -502,6 +507,164 @@ TEST(DeltaStoreRandomized, EditScriptsMatchRebuildAcrossBackends) {
     ExpectEquivalent(*db, *reference,
                      "seed " + std::to_string(seed) + " post-compaction");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Run-aware cursors under non-sequential access: the merging cursors
+// cache the run they read last, so a many-run overlay is read forward,
+// backward and in a seeded random order -- a stale cached run would
+// return a neighbouring run's ranks -- over every backend's base cursor.
+// ---------------------------------------------------------------------------
+
+/// Forward, backward and seeded-random orders over [0, n).
+std::vector<std::vector<uint64_t>> AccessOrders(uint64_t n, uint64_t seed) {
+  std::vector<uint64_t> forward(n);
+  for (uint64_t i = 0; i < n; ++i) forward[i] = i;
+  std::vector<uint64_t> backward(forward.rbegin(), forward.rend());
+  std::vector<uint64_t> shuffled = forward;
+  Rng rng(seed);
+  for (uint64_t i = n; i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+  }
+  return {forward, backward, shuffled};
+}
+
+constexpr const char* kOrderNames[] = {"forward", "backward", "random"};
+
+/// Reads all five columns of every logical rank through a fresh merging
+/// accessor per order (`make_base()` builds the base accessor) and
+/// compares them with the rebuilt table; random reads SkipTo first, as
+/// a kernel jumping there would.
+template <typename MakeBase>
+void ExpectDocReads(const delta::Overlay& overlay, const DocTable& base,
+                    const DocTable& want, MakeBase make_base,
+                    const std::string& label) {
+  const auto orders = AccessOrders(want.size(), want.size());
+  for (size_t o = 0; o < orders.size(); ++o) {
+    delta::DeltaDocAccessor<decltype(make_base())> acc(overlay, make_base);
+    ASSERT_EQ(acc.size(), want.size());
+    const std::string where = label + " " + kOrderNames[o];
+    for (uint64_t v : orders[o]) {
+      if (o == 2) acc.SkipTo(v);
+      const NodeId n = static_cast<NodeId>(v);
+      ASSERT_EQ(acc.Post(v), want.post(n)) << where << " post(" << v << ")";
+      ASSERT_EQ(acc.Kind(v), static_cast<uint8_t>(want.kind(n)))
+          << where << " kind(" << v << ")";
+      ASSERT_EQ(acc.Level(v), want.level(n)) << where << " level(" << v << ")";
+      ASSERT_EQ(acc.Parent(v), want.parent(n))
+          << where << " parent(" << v << ")";
+      const TagId got_tag = acc.Tag(v);
+      ASSERT_EQ(got_tag == kNoTag, want.tag(n) == kNoTag)
+          << where << " tag(" << v << ")";
+      if (got_tag != kNoTag) {
+        ASSERT_EQ(overlay.TagName(base.tags(), got_tag),
+                  want.tags().Name(want.tag(n)))
+            << where << " tag name(" << v << ")";
+      }
+    }
+    ASSERT_TRUE(acc.ok()) << where << ": " << acc.status();
+  }
+}
+
+/// For every merged tag, reads the merged fragment through a fresh
+/// merging cursor per order (`make_base(tag)` builds the base cursor):
+/// Pre/Post of every slot (SkipTo first on random reads) and LowerBound
+/// of every logical pre rank, against the rebuilt TagIndex.
+template <typename MakeBase>
+void ExpectFragmentReads(const delta::Overlay& overlay, const DocTable& base,
+                         const Database& ref, MakeBase make_base,
+                         const std::string& label) {
+  const DocTable& want_doc = ref.doc();
+  const TagIndex& want_tags = *ref.tag_index();
+  for (TagId tag = 0; tag < overlay.merged_dict_size(); ++tag) {
+    const std::string& name = overlay.TagName(base.tags(), tag);
+    const std::optional<TagId> want_id = want_doc.tags().Lookup(name);
+    const TagView& want = want_tags.view(want_id ? *want_id : kNoTag);
+    const auto slot_orders = AccessOrders(want.size(), tag + 1);
+    const auto pre_orders = AccessOrders(want_doc.size() + 1, tag + 2);
+    for (size_t o = 0; o < slot_orders.size(); ++o) {
+      delta::DeltaFragmentCursor<decltype(make_base(tag))> frag(
+          overlay, tag, [&] { return make_base(tag); });
+      const std::string where =
+          label + " tag " + name + " " + kOrderNames[o];
+      ASSERT_EQ(frag.size(), want.size()) << where;
+      for (uint64_t slot : slot_orders[o]) {
+        if (o == 2) frag.SkipTo(slot);
+        ASSERT_EQ(frag.Pre(slot), want.pre[slot])
+            << where << " pre(" << slot << ")";
+        ASSERT_EQ(frag.Post(slot), want.post[slot])
+            << where << " post(" << slot << ")";
+      }
+      for (uint64_t pre : pre_orders[o]) {
+        const size_t expected = static_cast<size_t>(
+            std::lower_bound(want.pre.begin(), want.pre.end(), pre) -
+            want.pre.begin());
+        ASSERT_EQ(frag.LowerBound(pre), expected)
+            << where << " lower_bound(" << pre << ")";
+      }
+      ASSERT_TRUE(frag.ok()) << where << ": " << frag.status();
+    }
+  }
+}
+
+TEST(DeltaStoreRandomized, RunAwareCursorsMatchRebuildInEveryAccessOrder) {
+  sj::testing::RandomDocOptions doc_options;
+  doc_options.target_nodes = 8000;
+  auto db = OpenXml(sj::testing::RandomDocumentXml(7, doc_options));
+  ASSERT_NE(db, nullptr);
+  ASSERT_GT(db->doc().size(), 2000u);
+  Rng rng(20031);
+  for (int commit = 0; commit < 40; ++commit) {
+    EditTxn txn = db->BeginEdit();
+    const uint64_t ops = 1 + rng.Below(4);
+    for (uint64_t op = 0; op < ops; ++op) {
+      const uint64_t size = txn.logical_size();
+      if (rng.Below(3) == 0) {
+        // Random nodes are mostly leaves: small deletes, many holes.
+        (void)txn.DeleteSubtree(1 + rng.Below(size - 1));
+        continue;
+      }
+      // Non-element parents fail the insert; retry another parent.
+      const std::string fragment = RandomFragmentXml(rng);
+      for (int attempt = 0; attempt < 16; ++attempt) {
+        if (txn.InsertLastChild(rng.Below(size), fragment).ok()) break;
+      }
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  auto snap = db->CurrentSnapshot();
+  ASSERT_NE(snap->overlay(), nullptr);
+  const delta::Overlay& overlay = *snap->overlay();
+  ASSERT_TRUE(overlay.has_fragments());
+  ASSERT_GT(overlay.delta_size(), 100u);
+  ASSERT_LT(overlay.logical_size() - overlay.delta_size(), overlay.base_size())
+      << "the script deleted no base node";
+  auto reference = RebuildReference(*db);
+  ASSERT_NE(reference, nullptr);
+
+  const DatabaseImages& img = snap->images();
+  storage::BufferPool* pool = img.pool.get();
+  ASSERT_NE(pool, nullptr);
+  ExpectDocReads(overlay, *img.doc, reference->doc(),
+                 [&] { return MemoryDocAccessor(*img.doc); }, "memory");
+  ExpectDocReads(overlay, *img.doc, reference->doc(), [&] {
+    return storage::ImageDocAccessor<storage::RawFormat>(*img.paged.doc, pool);
+  }, "paged");
+  ExpectDocReads(overlay, *img.doc, reference->doc(), [&] {
+    return storage::ImageDocAccessor<storage::BlockFormat>(*img.compressed.doc,
+                                                           pool);
+  }, "compressed");
+  ExpectFragmentReads(overlay, *img.doc, *reference, [&](TagId tag) {
+    return MemoryFragmentCursor(img.tag_index->view(tag));
+  }, "memory");
+  ExpectFragmentReads(overlay, *img.doc, *reference, [&](TagId tag) {
+    return storage::ImageFragmentCursor<storage::RawFormat>(
+        img.paged.tags->fragment(tag), pool);
+  }, "paged");
+  ExpectFragmentReads(overlay, *img.doc, *reference, [&](TagId tag) {
+    return storage::ImageFragmentCursor<storage::BlockFormat>(
+        img.compressed.tags->fragment(tag), pool);
+  }, "compressed");
 }
 
 // ---------------------------------------------------------------------------
